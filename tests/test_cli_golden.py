@@ -1,0 +1,153 @@
+"""Golden CLI outputs: stdout, stderr and exit code of ``frobcx.cli.main``.
+
+``data/cli_golden.json`` holds one record per command of the grid below,
+captured from the code before the CLI was rewired onto the library's
+sequence, complexity and engine code.  Every record must still match byte
+for byte.  Run ``python tests/test_cli_golden.py`` to rewrite the file from
+the current code, which is only right when an output change is intended.
+
+The grid: ``mdpoly`` in both formats; ``sequence`` for every engine on
+small cells, each cell in one of the three formats in turn, leaving out
+cells that would enumerate more than 10^5 compositions (about 0.1 s each);
+``complexity`` and ``segre`` in both formats at four tolerances; ``verify``
+in full, with an injected fault and with a tripping guard (a passing
+``verify --quiet`` prints the last line of ``verify``; ``test_cli.py``
+checks it byte for byte); ``twisted demo``; refused inputs (exit 1) and
+guard trips (exit 2).
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from frobcx.cli import AUTO_ENUMERATE_LIMIT, main
+from frobcx.enumeration import composition_count
+
+DATA = Path(__file__).parent / "data" / "cli_golden.json"
+ENV_NAMES = ("FROBCX_MAX_COMPOSITIONS", "FROBCX_MAX_CARRYVECTORS")
+ENUMERATION_LIMIT = 10**5
+
+
+def _enumerated(p, d, emax, engine):
+    # compositions the sequence command walks for this cell
+    walks = engine == "enumerate" or (
+        engine == "auto" and emax >= 1
+        and composition_count(p**emax - 1, d) <= AUTO_ENUMERATE_LIMIT)
+    return sum(composition_count(p**e - 1, d) for e in range(1, emax + 1)) if walks else 0
+
+
+def grid():
+    """(argv, env) pairs; env sets the guard variables for that command."""
+    cmds = []
+    for p in (2, 3, 5):
+        for d in range(1, 7):
+            for fmt in ("json", "table"):
+                cmds.append((["mdpoly", "--p", p, "--d", d, "--format", fmt], {}))
+    for engine in ("auto", "transfer", "enumerate", "carry", "closed"):
+        for p in (2, 3, 5):
+            for d in range(1, 7):
+                for emax in range(4):
+                    if _enumerated(p, d, emax, engine) > ENUMERATION_LIMIT:
+                        continue
+                    fmt = ("table", "json", "csv")[(p + d + emax) % 3]
+                    cmds.append((["sequence", "--p", p, "--d", d, "--emax", emax,
+                                  "--engine", engine, "--format", fmt], {}))
+    for command in ("complexity", "segre"):
+        for p, d in ((2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (2, 5), (5, 5), (2, 8)):
+            for tol in ("1e-3", "1e-9", "1/7", "10"):
+                for fmt in ("json", "table"):
+                    cmds.append(([command, "--p", p, "--d", d, "--tol", tol,
+                                  "--format", fmt], {}))
+    cmds += [
+        (["verify"], {}),
+        (["verify", "--inject-fault"], {}),
+        (["verify", "--quiet", "--inject-fault"], {}),
+        (["verify", "--max-compositions", 1000], {}),
+        (["verify", "--quiet"], {"FROBCX_MAX_COMPOSITIONS": "500"}),
+        (["twisted", "demo"], {}),
+        (["twisted", "demo", "--seed", 5], {}),
+        (["twisted", "demo", "--p", 3, "--N", 3, "--r", 3, "--e", 4, "--seed", 11], {}),
+        (["twisted", "demo", "--p", 2, "--N", 8, "--r", 2, "--e", 9, "--seed", 2], {}),
+        (["twisted", "demo", "--p", 5, "--N", 2, "--r", 1, "--e", 1], {}),
+    ]
+    refused = [
+        ["mdpoly", "--p", 4, "--d", 3],
+        ["mdpoly", "--p", 2, "--d", 0],
+        ["sequence", "--p", 1, "--d", 3, "--emax", 2],
+        ["sequence", "--p", 9, "--d", 3, "--emax", 2],
+        ["sequence", "--p", 2, "--d", 0, "--emax", 2],
+        ["sequence", "--p", 2, "--d", 4, "--emax", -1],
+        ["complexity", "--p", 2, "--d", 2],
+        ["complexity", "--p", 6, "--d", 4],
+        ["complexity", "--p", 2, "--d", 4, "--tol", "0"],
+        ["complexity", "--p", 2, "--d", 4, "--tol", "-1e-3"],
+        ["complexity", "--p", 2, "--d", 4, "--tol", "abc"],
+        ["complexity", "--p", 2, "--d", 4, "--tol", "1/0"],
+        ["segre", "--p", 3, "--d", 1],
+        ["segre", "--p", 3, "--d", 5, "--tol", "0"],
+        ["twisted", "demo", "--e", 1],
+        ["twisted", "demo", "--N", 0],
+        ["twisted", "demo", "--r", 0],
+        ["twisted", "demo", "--p", 8],
+    ]
+    cmds += [(argv, {}) for argv in refused]
+    cmds += [
+        (["sequence", "--p", 2, "--d", 6, "--emax", 8, "--engine", "enumerate",
+          "--max-compositions", 1000], {}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3, "--engine", "enumerate",
+          "--max-compositions", 0], {}),
+        (["sequence", "--p", 3, "--d", 5, "--emax", 4, "--engine", "carry",
+          "--max-carryvectors", 20], {}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3, "--engine", "enumerate"],
+         {"FROBCX_MAX_COMPOSITIONS": "10"}),
+        (["sequence", "--p", 2, "--d", 5, "--emax", 5, "--engine", "carry"],
+         {"FROBCX_MAX_CARRYVECTORS": "10"}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3, "--engine", "enumerate",
+          "--max-compositions", 100000], {"FROBCX_MAX_COMPOSITIONS": "10"}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3, "--engine", "auto",
+          "--max-compositions", 5], {}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3],
+         {"FROBCX_MAX_COMPOSITIONS": "not-a-number"}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 3, "--engine", "transfer"],
+         {"FROBCX_MAX_CARRYVECTORS": "1e3"}),
+        (["verify", "--quiet"], {"FROBCX_MAX_COMPOSITIONS": "ten"}),
+        (["sequence", "--p", 2, "--d", 5, "--emax", 8, "--engine", "carry"], {}),
+        (["sequence", "--p", 2, "--d", 4, "--emax", 40, "--format", "csv"], {}),
+    ]
+    return [([str(a) for a in argv], env) for argv, env in cmds]
+
+
+def run(argv, env):
+    """(exit code, stdout, stderr) of main(argv) under the given guard variables."""
+    saved = {name: os.environ.pop(name, None) for name in ENV_NAMES}
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_output_matches_golden():
+    records = json.loads(DATA.read_text())
+    assert [(r["argv"], r["env"]) for r in records] == grid()
+    mismatched = [r["argv"] for r in records
+                  if run(r["argv"], r["env"]) != (r["code"], r["stdout"], r["stderr"])]
+    assert mismatched == []
+
+
+if __name__ == "__main__":
+    records = []
+    for argv, env in grid():
+        code, out, err = run(argv, env)
+        records.append({"argv": argv, "env": env, "code": code, "stdout": out, "stderr": err})
+    DATA.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} records to {DATA}", file=sys.stderr)
