@@ -10,11 +10,12 @@ characteristic 2 give the quadratic irrational rate 5 + sqrt(5).
 from fractions import Fraction
 
 from frobcx import (
+    build_system,
     closed_form_d3,
     complexity_d3,
     frobenius_complexity,
     known_complexity_expression,
-    leading_state_p2_d4,
+    state,
 )
 
 TOL = Fraction(1, 10**12)
@@ -35,8 +36,9 @@ for p, e in [(2, 5), (3, 3), (5, 3)]:
 print()
 
 print("=== characteristic 2, four variables: golden-style irrationality ===")
-states = leading_state_p2_d4(8)
-print(f"census pairs (A_n, B_n): {states[:5]} ...")
+system = build_system(2, 4)
+states = tuple(state(system, n) for n in range(5))
+print(f"census pairs (A_n, B_n): {states} ...")
 box = frobenius_complexity(2, 4, TOL)
 print(f"complexity in [{float(box.lo):.12f}, {float(box.hi):.12f}]")
 print(f"closed form: {known_complexity_expression(2, 4)}")

@@ -7,46 +7,14 @@ and models the underlying twisted matrix operators.  All arithmetic is
 exact: integer counts, rational interval endpoints.
 """
 
-from .basep import DigitVector, ExponentVector, Prime, carry_sequence, digits, truncate
-from .closedform import (
-    closed_form_d3,
-    complexity_d3,
-    known_complexity_expression,
-    leading_state_p2_d4,
-    lower_bound,
-    segre_frobenius_complexity,
-    xi_weight,
-)
-from .enumeration import (
-    composition_count,
-    compositions,
-    count_basis_carryvectors,
-    count_basis_enumeration,
-    is_basis_monomial,
-)
+from .basep import ExponentVector, Prime, carry_sequence, digits
+from .closedform import closed_form_d3, complexity_d3, known_complexity_expression
+from .enumeration import count_basis_carryvectors, count_basis_enumeration, is_basis_monomial
 from .errors import GuardExceeded
-from .poincare import PoincareTable, build_table
-from .spectral import (
-    CharPoly,
-    RationalInterval,
-    SpectralEstimate,
-    char_poly,
-    frobenius_complexity,
-    log2_interval,
-    log_interval,
-    log_of_interval,
-    perron_interval,
-)
-from .transfer import (
-    ComplexityReport,
-    TransferSystem,
-    build_system,
-    complexity_sequence,
-    complexity_term,
-    state,
-)
+from .poincare import build_table
+from .spectral import char_poly, frobenius_complexity, perron_interval
+from .transfer import build_system, complexity_sequence, complexity_term, state
 from .twistedop import (
-    QElem,
     QuotientRing,
     TwistedOperator,
     bracket,
@@ -59,19 +27,13 @@ from .twistedop import (
 
 __version__ = "0.1.0"
 
+# the names the README and the demos use, plus Prime and GuardExceeded;
+# everything else is imported from its module
 __all__ = [
-    "CharPoly",
-    "ComplexityReport",
-    "DigitVector",
     "ExponentVector",
     "GuardExceeded",
-    "PoincareTable",
     "Prime",
-    "QElem",
     "QuotientRing",
-    "RationalInterval",
-    "SpectralEstimate",
-    "TransferSystem",
     "TwistedOperator",
     "bracket",
     "build_system",
@@ -83,8 +45,6 @@ __all__ = [
     "complexity_sequence",
     "complexity_term",
     "compose",
-    "composition_count",
-    "compositions",
     "count_basis_carryvectors",
     "count_basis_enumeration",
     "digits",
@@ -93,16 +53,8 @@ __all__ = [
     "identity_operator",
     "is_basis_monomial",
     "known_complexity_expression",
-    "leading_state_p2_d4",
-    "log2_interval",
-    "log_interval",
-    "log_of_interval",
-    "lower_bound",
     "min_kill_degree",
     "perron_interval",
     "random_operator",
-    "segre_frobenius_complexity",
     "state",
-    "truncate",
-    "xi_weight",
 ]

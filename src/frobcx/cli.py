@@ -14,7 +14,8 @@ exceeded, 3 verification mismatch.
 
 Iteration guards for the enumeration engines default to 10^8 and can be
 set by --max-compositions / --max-carryvectors or the environment
-variables FROBCX_MAX_COMPOSITIONS / FROBCX_MAX_CARRYVECTORS (flags win).
+variables FROBCX_MAX_COMPOSITIONS / FROBCX_MAX_CARRYVECTORS (flags win);
+negative values are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import comb
+from typing import Iterator
 
 from .basep import Prime
 from .closedform import (
@@ -42,14 +45,13 @@ from .enumeration import (
 )
 from .errors import GuardExceeded
 from .poincare import build_table
-from .spectral import log_of_interval, perron_interval
+# perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
+from .spectral import frobenius_complexity, perron_interval  # noqa: F401
 from .transfer import ComplexityReport, TransferSystem, build_system, complexity_sequence
 from .twistedop import (
     TwistedOperator,
     bracket,
-    compose,
     factorization_check,
-    identity_operator,
     min_kill_degree,
     QuotientRing,
     random_operator,
@@ -106,16 +108,25 @@ def _parse_tol(text: str) -> Fraction:
     return tol
 
 
-def _guard_value(flag: int | None, env_name: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{env_name} must be an integer, got {raw!r}") from None
+def _guard_value(args, dest: str, default: int) -> int:
+    """The guard from its flag, else its environment variable, else default.
+
+    ``dest`` names both: max_compositions is --max-compositions and
+    FROBCX_MAX_COMPOSITIONS.  Negative guards are refused.
+    """
+    value, source = getattr(args, dest), "--" + dest.replace("_", "-")
+    if value is None:
+        source = "FROBCX_" + dest.upper()
+        raw = os.environ.get(source)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise _UsageError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def _prime(value: int) -> Prime:
@@ -127,29 +138,25 @@ def _prime(value: int) -> Prime:
 
 # --- sequence engines -------------------------------------------------------
 
-def _terms_enumerate(p: Prime, d: int, emax: int, guard: int) -> list[int]:
-    return [0] + [
+def _levels(p: Prime, d: int, emax: int, count) -> Iterator[int]:
+    # c_0 = 0 and c_1 = comb(d + p - 2, p - 1); count(e) gives each level
+    # e >= 2 when the caller reaches it
+    yield from (0, comb(d + p - 2, p - 1))[: emax + 1]
+    yield from map(count, range(2, emax + 1))
+
+
+# engine -> terms(p, d, emax, guard): the counts c_0..c_emax.  transfer
+# returns the report of its single sweep; the others yield level by level,
+# so verify reports each level before a guard can stop the next one.
+ENGINE_TERMS = {
+    "transfer": lambda p, d, emax, guard: complexity_sequence(p, d, emax),
+    "enumerate": lambda p, d, emax, guard: chain((0,), (
         count_basis_enumeration(p, d, e, max_compositions=guard)
-        for e in range(1, emax + 1)
-    ]
-
-
-def _terms_carry(p: Prime, d: int, emax: int, guard: int) -> list[int]:
-    table = build_table(p, d)
-    out = [0]
-    if emax >= 1:
-        out.append(comb(d + p - 2, p - 1))
-    for e in range(2, emax + 1):
-        out.append(count_basis_carryvectors(p, d, e, table, max_carryvectors=guard))
-    return out
-
-
-def _terms_closed(p: Prime, emax: int) -> list[int]:
-    out = [0]
-    if emax >= 1:
-        out.append(comb(p + 1, 2))
-    out.extend(closed_form_d3(p, e) for e in range(2, emax + 1))
-    return out
+        for e in range(1, emax + 1))),
+    "carry": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: (
+        count_basis_carryvectors(p, d, e, build_table(p, d), max_carryvectors=guard))),
+    "closed": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: closed_form_d3(p, e)),
+}
 
 
 def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str:
@@ -171,22 +178,14 @@ def _sequence_report(args) -> ComplexityReport:
         raise _UsageError("d must be >= 1")
     if args.emax < 0:
         raise _UsageError("emax must be >= 0")
-    comp_guard = _guard_value(
-        args.max_compositions, "FROBCX_MAX_COMPOSITIONS", DEFAULT_MAX_COMPOSITIONS
-    )
-    carry_guard = _guard_value(
-        args.max_carryvectors, "FROBCX_MAX_CARRYVECTORS", DEFAULT_MAX_CARRYVECTORS
-    )
+    comp_guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
+    carry_guard = _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)
     engine = _resolve_engine(args.engine, p, args.d, args.emax, comp_guard)
-    if engine == "transfer":
-        return complexity_sequence(p, args.d, args.emax)
-    if engine == "enumerate":
-        terms = _terms_enumerate(p, args.d, args.emax, comp_guard)
-    elif engine == "carry":
-        terms = _terms_carry(p, args.d, args.emax, carry_guard)
-    else:
-        terms = _terms_closed(p, args.emax)
-    return ComplexityReport.from_terms(p, args.d, engine, terms)
+    guard = carry_guard if engine == "carry" else comp_guard
+    terms = ENGINE_TERMS[engine](p, args.d, args.emax, guard)
+    if isinstance(terms, ComplexityReport):
+        return terms
+    return ComplexityReport.from_terms(p, args.d, engine, list(terms))
 
 
 def _cmd_sequence(args) -> int:
@@ -233,63 +232,48 @@ def _cmd_mdpoly(args) -> int:
     return 0
 
 
-def _complexity_intervals(p: Prime, d: int, tol: Fraction):
-    system = build_system(p, d)
-    est = perron_interval(system.matrix, tol)
-    cx = log_of_interval(est.lo, est.hi, p, tol / 4)
-    return est, cx
+def _complexity_report(args, refusal: str):
+    """(p, radius enclosure, decimal endpoints) for complexity and segre."""
+    p = _prime(args.p)
+    if args.d < 3:
+        raise _UsageError(refusal)
+    tol = _parse_tol(args.tol)
+    cx = frobenius_complexity(p, args.d, tol)
+    places = decimal_places(tol)
+    return p, cx.radius, {
+        "rho_lo": decimal_str(cx.radius.lo, places, round_up=False),
+        "rho_hi": decimal_str(cx.radius.hi, places, round_up=True),
+        "cxf_lo": decimal_str(cx.lo, places, round_up=False),
+        "cxf_hi": decimal_str(cx.hi, places, round_up=True),
+    }
 
 
 def _cmd_complexity(args) -> int:
-    p = _prime(args.p)
-    if args.d < 3:
-        raise _UsageError("complexity needs d >= 3 (counts vanish beyond e=1 otherwise)")
-    tol = _parse_tol(args.tol)
-    est, cx = _complexity_intervals(p, args.d, tol)
-    places = decimal_places(tol)
-    rho_lo = decimal_str(est.lo, places, round_up=False)
-    rho_hi = decimal_str(est.hi, places, round_up=True)
-    cxf_lo = decimal_str(cx.lo, places, round_up=False)
-    cxf_hi = decimal_str(cx.hi, places, round_up=True)
+    p, est, ends = _complexity_report(
+        args, "complexity needs d >= 3 (counts vanish beyond e=1 otherwise)"
+    )
     if args.format == "json":
-        print(
-            render_json(
-                {"rho_lo": rho_lo, "rho_hi": rho_hi, "cxf_lo": cxf_lo, "cxf_hi": cxf_hi}
-            )
-        )
+        print(render_json(ends))
     else:
         print(f"# p={p} d={args.d} tol={args.tol}")
-        print(f"growth rate in [{rho_lo}, {rho_hi}]"
+        print(f"growth rate in [{ends['rho_lo']}, {ends['rho_hi']}]"
               f" ({est.iterations} iterations, converged={est.converged})")
-        print(f"complexity  in [{cxf_lo}, {cxf_hi}]  (base-{p} log; bound {args.d - 1})")
+        print(f"complexity  in [{ends['cxf_lo']}, {ends['cxf_hi']}]"
+              f"  (base-{p} log; bound {args.d - 1})")
     return 0
 
 
 def _cmd_segre(args) -> int:
-    p = _prime(args.p)
-    if args.d < 3:
-        raise _UsageError("segre reports need d >= 3")
-    tol = _parse_tol(args.tol)
-    est, cx = _complexity_intervals(p, args.d, tol)
-    places = decimal_places(tol)
-    payload = {
-        "p": int(p),
-        "d": args.d,
-        "cxf_lo": decimal_str(cx.lo, places, round_up=False),
-        "cxf_hi": decimal_str(cx.hi, places, round_up=True),
-        "closed_form": known_complexity_expression(p, args.d),
-    }
+    p, _, ends = _complexity_report(args, "segre reports need d >= 3")
+    closed = known_complexity_expression(p, args.d)
     if args.format == "json":
-        print(render_json(payload))
+        print(render_json({"p": int(p), "d": args.d, "cxf_lo": ends["cxf_lo"],
+                           "cxf_hi": ends["cxf_hi"], "closed_form": closed}))
     else:
         print(f"# segre p={p} d={args.d} tol={args.tol}")
-        print(f"complexity in [{payload['cxf_lo']}, {payload['cxf_hi']}]")
-        if payload["closed_form"]:
-            print(f"closed form: {payload['closed_form']}")
-        else:
-            print("closed form: none known")
-        print(f"growth rate in [{decimal_str(est.lo, places, round_up=False)},"
-              f" {decimal_str(est.hi, places, round_up=True)}]")
+        print(f"complexity in [{ends['cxf_lo']}, {ends['cxf_hi']}]")
+        print(f"closed form: {closed or 'none known'}")
+        print(f"growth rate in [{ends['rho_lo']}, {ends['rho_hi']}]")
     return 0
 
 
@@ -303,46 +287,29 @@ def _faulted(system: TransferSystem) -> TransferSystem:
     )
 
 
-def _transfer_terms(system: TransferSystem | None, p: Prime, d: int, emax: int) -> list[int]:
-    out = [0]
-    if emax >= 1:
-        out.append(comb(d + p - 2, p - 1))
-    if emax >= 2:
-        if system is None:
-            out.extend([0] * (emax - 1))
-        else:
-            x = list(system.x0)
-            for e in range(2, emax + 1):
-                if e > 2:
-                    x = [sum(u * v for u, v in zip(row, x)) for row in system.matrix]
-                out.append(sum(w * v for w, v in zip(system.weights, x)))
-    return out
-
-
 def _cmd_verify(args) -> int:
-    guard = _guard_value(
-        args.max_compositions, "FROBCX_MAX_COMPOSITIONS", DEFAULT_MAX_COMPOSITIONS
-    )
+    guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
     points = 0
     bound_checks = 0
     for p_raw, d_range, e_range in _VERIFY_GRID:
         p = Prime(p_raw)
         for d in d_range:
-            table = build_table(p, d)
             emax = max(e_range)
-            system = build_system(p, d, table) if d >= 3 else None
-            if system is not None and args.inject_fault:
-                system = _faulted(system)
-            trans = _transfer_terms(system, p, d, emax)
-            for e in e_range:
-                values = {
-                    "enumerate": count_basis_enumeration(p, d, e, max_compositions=guard),
-                    "transfer": trans[e],
-                }
-                if d >= 3 and e >= 2:
-                    values["carry"] = count_basis_carryvectors(p, d, e, table)
-                if d == 3:
-                    values["closed"] = comb(p + 1, 2) if e == 1 else closed_form_d3(p, e)
+            system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None
+            streams = {
+                "enumerate": ENGINE_TERMS["enumerate"](p, d, emax, guard),
+                "transfer": complexity_sequence(p, d, emax, system).c,
+            }
+            if d >= 3:
+                streams["carry"] = ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS)
+            if d == 3:
+                streams["closed"] = ENGINE_TERMS["closed"](p, d, emax, None)
+            for e, counts in enumerate(zip(*streams.values())):
+                if e not in e_range:
+                    continue
+                values = dict(zip(streams, counts))
+                if e < 2:
+                    values.pop("carry", None)
                 c = values["enumerate"]
                 if any(v != c for v in values.values()):
                     detail = " ".join(f"{k}={v}" for k, v in sorted(values.items()))
@@ -390,9 +357,7 @@ def _cmd_twisted_demo(args) -> int:
     print(f"A (matrix of the degree-{args.e} operator):")
     for line in _format_rows(op):
         print(line)
-    ident = identity_operator(ring, args.r, args.e - e0)
-    split = compose(TwistedOperator(op.rows, e0), ident)
-    ok = split == op and factorization_check(op.rows, args.e, e0)
+    ok = factorization_check(op.rows, args.e, e0)
     print(f"(A,{args.e}) == (A,{e0}) o (I,{args.e - e0}): {'PASS' if ok else 'FAIL'}")
     collapsed = bracket(op.rows, e0)
     consts = all(

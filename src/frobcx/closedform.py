@@ -1,4 +1,4 @@
-"""Closed forms, bounds, and worked small cases for the count sequence.
+"""Closed forms and bounds for the count sequence.
 
 For three variables everything collapses: the transfer matrix is the 1x1
 matrix [p(p+1)/2] and the counts have the product form
@@ -15,16 +15,16 @@ gives
 
     c_{d,e} >= sum_{i=0}^{p^e - 1} xi_e(i) comb(d-3+i, i),
 
-with equality at d = 3 (where the subfamily is everything).  The
-characteristic-2, four-variable case gets its own closed recursion on the
-leading census pair.
+with equality at d = 3 (where the subfamily is everything).  Where the
+complexity has a known closed form (d = 3, and d = 4 in characteristic 2)
+``known_complexity_expression`` states it, for comparison with the
+certified interval of ``spectral.frobenius_complexity``.
 """
 
 from __future__ import annotations
 
 from .basep import Prime, digits
 from .errors import GuardExceeded
-from .spectral import RationalInterval, frobenius_complexity
 
 DEFAULT_MAX_TERMS = 10**7
 
@@ -97,23 +97,6 @@ def lower_bound(p: int, d: int, e: int, *, max_terms: int = DEFAULT_MAX_TERMS) -
     return total
 
 
-def leading_state_p2_d4(steps: int) -> tuple[tuple[int, int], ...]:
-    """States of the characteristic-2, d=4 census recursion.
-
-    Starting from (A_0, B_0) = (4, 0), iterate A' = 6A + 4B, B' = A + 4B.
-    A_n equals the count c_{4, n+2} in characteristic 2; the pair obeys
-    A_{n+1} = 10 A_n - 20 A_{n-1} componentwise (char poly x^2 - 10x + 20),
-    so the growth rate is the larger root 5 + sqrt(5).
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = [(4, 0)]
-    for _ in range(steps):
-        a, b = out[-1]
-        out.append((6 * a + 4 * b, a + 4 * b))
-    return tuple(out)
-
-
 def known_complexity_expression(p: int, d: int) -> str | None:
     """Closed-form expression for the complexity, where one is known."""
     p = Prime(p)
@@ -125,15 +108,3 @@ def known_complexity_expression(p: int, d: int) -> str | None:
         return "log_2(5 + sqrt(5))"
     return None
 
-
-def segre_frobenius_complexity(p: int, d: int, tol) -> RationalInterval:
-    """Certified complexity interval for the rank-growth of the d-fold case.
-
-    Identical to ``spectral.frobenius_complexity``: the count sequence
-    whose growth is being measured is the same one the transfer system
-    generates.  Kept as a named entry point because the d = 3 and
-    (p, d) = (2, 4) cases admit the closed forms reported by
-    ``known_complexity_expression``, making this the natural place to
-    compare a certified interval against an exact expression.
-    """
-    return frobenius_complexity(p, d, tol)

@@ -36,8 +36,6 @@ from .poincare import PoincareTable, build_table
 DEFAULT_MAX_COMPOSITIONS = 10**8
 DEFAULT_MAX_CARRYVECTORS = 10**8
 
-VARIANTS = ("first-d-minus-1", "all-d")
-
 
 def composition_count(total: int, parts: int) -> int:
     """Number of compositions of ``total`` into ``parts`` nonnegative parts."""
@@ -70,17 +68,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         a[j + 1] += 1
 
 
-def is_basis_monomial(v: ExponentVector, variant: str = "first-d-minus-1") -> bool:
+def is_basis_monomial(v: ExponentVector) -> bool:
     """Test the truncation inequalities for one exponent vector.
 
-    ``variant`` selects which coordinates enter the truncated sums: the
-    first d-1 of them, or all d.  The two versions accept exactly the same
-    vectors (the omitted coordinate contributes less than p^e1, while a
-    passing sum is congruent to -1 and so at least 2*p^e1 - 1).
+    The truncated sums run over the first d-1 coordinates.  Summing all d
+    accepts exactly the same vectors: the omitted coordinate contributes
+    less than p^e1, while a passing sum is congruent to -1 and so at least
+    2*p^e1 - 1.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    coords = v.a[:-1] if variant == "first-d-minus-1" else v.a
+    coords = v.a[:-1]
     p = v.p
     for e1 in range(1, v.e):
         q = p**e1

@@ -300,12 +300,20 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
     )
 
 
-def frobenius_complexity(p: int, d: int, tol) -> RationalInterval:
+@dataclass(frozen=True)
+class ComplexityInterval(RationalInterval):
+    """Certified complexity interval, with the radius enclosure it came from."""
+
+    radius: SpectralEstimate
+
+
+def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     """Certified interval for the base-p log of the count growth rate.
 
     The growth rate is enclosed by ``perron_interval`` on the transfer
     matrix, then mapped through a certified base-p logarithm; the radius
-    tolerance is tightened until the log interval is within ``tol``.
+    tolerance is tightened until the log interval is within ``tol``.  The
+    result keeps the last radius enclosure as ``radius``.
     """
     p = Prime(p)
     if d < 3:
@@ -320,6 +328,6 @@ def frobenius_complexity(p: int, d: int, tol) -> RationalInterval:
         est = perron_interval(system.matrix, rho_tol)
         out = log_of_interval(est.lo, est.hi, p, tol / 4)
         if out.width <= tol:
-            return out
+            return ComplexityInterval(out.lo, out.hi, est)
         rho_tol /= 16
     raise AssertionError("log interval failed to tighten; unreachable")

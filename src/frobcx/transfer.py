@@ -147,19 +147,27 @@ class ComplexityReport:
 
 
 def complexity_sequence(
-    p: int, d: int, emax: int, table: PoincareTable | None = None
+    p: int, d: int, emax: int, system: TransferSystem | None = None
 ) -> ComplexityReport:
-    """Counts for e = 0..emax via one incremental sweep of the recursion."""
+    """Counts for e = 0..emax via one incremental sweep of the recursion.
+
+    ``system`` replaces the one ``build_system(p, d)`` would assemble; it
+    must be for the same (p, d).
+    """
     p = Prime(p)
     if d < 1:
         raise ValueError("d must be >= 1")
     if emax < 0:
         raise ValueError("emax must be >= 0")
+    if system is not None and (system.p, system.d) != (p, d):
+        raise ValueError(
+            f"system is for (p={system.p}, d={system.d}), not (p={p}, d={d})"
+        )
     c = [0] * (emax + 1)
     if emax >= 1:
         c[1] = comb(d + p - 2, p - 1)
     if d >= 3 and emax >= 2:
-        system = build_system(p, d, table)
+        system = system or build_system(p, d)
         x = list(system.x0)
         c[2] = sum(w * v for w, v in zip(system.weights, x))
         for e in range(3, emax + 1):

@@ -17,7 +17,7 @@ import mpmath
 
 from frobcx.basep import Prime
 from frobcx.cli import main, render_json
-from frobcx.closedform import closed_form_d3, leading_state_p2_d4, lower_bound
+from frobcx.closedform import closed_form_d3, lower_bound
 from frobcx.enumeration import (
     composition_count,
     count_basis_carryvectors,
@@ -25,7 +25,7 @@ from frobcx.enumeration import (
 )
 from frobcx.poincare import build_table
 from frobcx.spectral import char_poly, frobenius_complexity, perron_interval
-from frobcx.transfer import build_system, complexity_sequence, complexity_term
+from frobcx.transfer import build_system, complexity_sequence, complexity_term, state
 from frobcx.twistedop import (
     QuotientRing,
     TwistedOperator,
@@ -135,7 +135,7 @@ def test_criterion_4_char2_four_variables():
         for e in range(4, 13):
             a, b = b, 10 * b - 20 * a
             assert seq[e] == b, e
-        states = leading_state_p2_d4(10)
+        states = [state(build_system(2, 4), n) for n in range(11)]
         assert all(states[n][0] == seq[n + 2] for n in range(11))
 
         box = frobenius_complexity(2, 4, tol)

@@ -95,7 +95,7 @@ def test_segre_reports_closed_form(capsys):
     assert json.loads(out)["closed_form"] is None
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, monkeypatch):
     assert run(capsys, "sequence", "--p", "4", "--d", "3", "--emax", "2")[0] == 1
     assert run(capsys, "sequence", "--p", "2", "--d", "0", "--emax", "2")[0] == 1
     assert run(capsys, "sequence", "--p", "2", "--d", "2", "--emax", "2",
@@ -108,6 +108,19 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys)[0] == 1
     code, out, err = run(capsys, "sequence", "--p", "4", "--d", "3", "--emax", "2")
     assert code == 1 and err and not out  # error text goes to stderr
+    # negative guards are refused, naming the flag or variable, on every engine
+    for engine in ("auto", "enumerate", "carry", "transfer"):
+        seq = ["sequence", "--p", "2", "--d", "4", "--emax", "3", "--engine", engine]
+        for flag in ("--max-compositions", "--max-carryvectors"):
+            code, out, err = run(capsys, *seq, flag, "-1")
+            assert (code, out, err) == (1, "", f"error: {flag} must be >= 0, got -1\n")
+        for name in ("FROBCX_MAX_COMPOSITIONS", "FROBCX_MAX_CARRYVECTORS"):
+            monkeypatch.setenv(name, "-1")
+            code, out, err = run(capsys, *seq)
+            monkeypatch.delenv(name)
+            assert (code, out, err) == (1, "", f"error: {name} must be >= 0, got -1\n")
+    code, out, err = run(capsys, "verify", "--quiet", "--max-compositions", "-5")
+    assert (code, out, err) == (1, "", "error: --max-compositions must be >= 0, got -5\n")
 
 
 def test_guard_exit_2(capsys):
@@ -143,7 +156,7 @@ def test_guard_env_var(capsys, monkeypatch):
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--quiet")
     assert code == 0
-    assert out.startswith("VERIFY PASS")
+    assert out == "VERIFY PASS: 52 grid points, 74 bound checks\n"
 
 
 def test_verify_catches_injected_fault(capsys):

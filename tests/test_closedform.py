@@ -8,14 +8,13 @@ from frobcx.closedform import (
     closed_form_d3,
     complexity_d3,
     known_complexity_expression,
-    leading_state_p2_d4,
     lower_bound,
-    segre_frobenius_complexity,
     xi_weight,
 )
 from frobcx.enumeration import count_basis_enumeration
 from frobcx.errors import GuardExceeded
-from frobcx.transfer import complexity_term
+from frobcx.spectral import frobenius_complexity
+from frobcx.transfer import build_system, complexity_term, state
 
 mpmath.mp.dps = 50
 
@@ -101,7 +100,7 @@ def test_lower_bound_guard_and_validation():
 
 
 def test_leading_state_recursion():
-    states = leading_state_p2_d4(10)
+    states = [state(build_system(2, 4), n) for n in range(11)]
     assert states[0] == (4, 0)
     assert states[1] == (24, 4)
     assert states[2] == (160, 40)
@@ -132,7 +131,7 @@ def oracle(p, d):
 def test_segre_complexity_contains_closed_forms():
     tol = Fraction(1, 10**9)
     for p, d in [(2, 3), (3, 3), (5, 3), (7, 3), (2, 4)]:
-        box = segre_frobenius_complexity(p, d, tol)
+        box = frobenius_complexity(p, d, tol)
         assert box.width <= tol
         target = oracle(p, d)
         assert mpmath.mpf(box.lo.numerator) / box.lo.denominator <= target
@@ -144,7 +143,7 @@ def test_complexity_is_characteristic_dependent():
     # toward 2 without reaching it: midpoints must be strictly ordered
     mids = []
     for p in (2, 3, 5, 7, 11):
-        box = segre_frobenius_complexity(p, 3, Fraction(1, 10**12))
+        box = frobenius_complexity(p, 3, Fraction(1, 10**12))
         mids.append((box.lo + box.hi) / 2)
     assert all(a < b for a, b in zip(mids, mids[1:]))
     assert all(1 < m < 2 for m in mids)

@@ -143,6 +143,8 @@ def test_frobenius_complexity_d3_is_certified():
         rate = Fraction(p * (p + 1), 2)
         lo, hi = log_interval(rate, p, Fraction(1, 10**12))
         assert out.lo <= hi and lo <= out.hi
+        # the radius enclosure it came from is exact for a 1x1 matrix
+        assert (out.radius.lo, out.radius.hi) == (rate, rate)
 
 
 def test_frobenius_complexity_rejects_small_d():

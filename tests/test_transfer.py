@@ -5,6 +5,7 @@ from frobcx.enumeration import count_basis_enumeration
 from frobcx.poincare import build_table
 from frobcx.transfer import (
     ComplexityReport,
+    TransferSystem,
     build_system,
     complexity_sequence,
     complexity_term,
@@ -81,6 +82,18 @@ def test_sequence_agrees_with_term_calls():
     for p, d, emax in [(2, 5, 7), (3, 4, 5), (5, 3, 4), (2, 2, 4), (3, 1, 3)]:
         report = complexity_sequence(p, d, emax)
         assert report.c == tuple(complexity_term(p, d, e) for e in range(emax + 1))
+
+
+def test_sequence_runs_a_given_system():
+    system = build_system(2, 4)
+    assert complexity_sequence(2, 4, 8, system) == complexity_sequence(2, 4, 8)
+    bumped = TransferSystem(2, 4, ((7, 4), (1, 4)), system.x0, system.weights)
+    c = complexity_sequence(2, 4, 4, bumped).c
+    assert c[:3] == (0, 4, 4) and c[3] == 28  # U x0 = (28, 4) weighs in at e=3
+    with pytest.raises(ValueError):
+        complexity_sequence(2, 5, 4, system)
+    with pytest.raises(ValueError):
+        complexity_sequence(3, 4, 4, system)
 
 
 def test_report_validation():
