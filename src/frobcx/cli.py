@@ -57,7 +57,6 @@ from .twistedop import (
     random_operator,
 )
 
-ENGINES = ("auto", "transfer", "enumerate", "carry", "closed")
 FORMATS = ("table", "json", "csv")
 AUTO_ENUMERATE_LIMIT = 10**6
 
@@ -157,6 +156,7 @@ ENGINE_TERMS = {
         count_basis_carryvectors(p, d, e, build_table(p, d), max_carryvectors=guard))),
     "closed": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: closed_form_d3(p, e)),
 }
+ENGINES = ("auto", *ENGINE_TERMS)
 
 
 def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str:
@@ -295,6 +295,7 @@ def _cmd_verify(args) -> int:
         p = Prime(p_raw)
         for d in d_range:
             emax = max(e_range)
+            # transfer is called directly so that it can run the faulted system
             system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None
             streams = {
                 "enumerate": ENGINE_TERMS["enumerate"](p, d, emax, guard),
@@ -308,7 +309,7 @@ def _cmd_verify(args) -> int:
                 if e not in e_range:
                     continue
                 values = dict(zip(streams, counts))
-                if e < 2:
+                if e < 2:  # carry's level 1 is the binomial, not a carry-vector sum
                     values.pop("carry", None)
                 c = values["enumerate"]
                 if any(v != c for v in values.values()):

@@ -135,7 +135,7 @@ def test_criterion_4_char2_four_variables():
         for e in range(4, 13):
             a, b = b, 10 * b - 20 * a
             assert seq[e] == b, e
-        states = [state(build_system(2, 4), n) for n in range(11)]
+        states = [state(system, n) for n in range(11)]
         assert all(states[n][0] == seq[n + 2] for n in range(11))
 
         box = frobenius_complexity(2, 4, tol)
