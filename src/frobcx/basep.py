@@ -33,40 +33,7 @@ class Prime(int):
         return super().__new__(cls, v)
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Little-endian base-p digits: ``digits[n]`` multiplies p^n."""
-
-    digits: tuple[int, ...]
-    p: Prime
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        object.__setattr__(self, "digits", tuple(int(x) for x in self.digits))
-        for x in self.digits:
-            if not 0 <= x < self.p:
-                raise ValueError(f"digit {x} out of range for base {self.p}")
-
-    def value(self) -> int:
-        total = 0
-        for x in reversed(self.digits):
-            total = total * self.p + x
-        return total
-
-    def __int__(self) -> int:
-        return self.value()
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __getitem__(self, n: int) -> int:
-        return self.digits[n]
-
-    def __iter__(self):
-        return iter(self.digits)
-
-
-def digits(a: int, p: int, length: int) -> DigitVector:
+def digits(a: int, p: int, length: int) -> tuple[int, ...]:
     """Base-p digits of ``a``, little-endian, padded/limited to ``length``.
 
     Rejects negative ``a`` and any ``a`` that does not fit in ``length``
@@ -85,15 +52,7 @@ def digits(a: int, p: int, length: int) -> DigitVector:
         out.append(r)
     if rest:
         raise ValueError(f"{a} does not fit in {length} base-{p} digits")
-    return DigitVector(tuple(out), p)
-
-
-def truncate(a: int, p: int, e1: int) -> int:
-    """a mod p^e1: the number formed by the e1 lowest base-p digits of a."""
-    p = Prime(p)
-    if a < 0 or e1 < 0:
-        raise ValueError("truncate needs a >= 0 and e1 >= 0")
-    return a % p**e1
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,10 @@ _VERIFY_GRID = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; 2 is reserved for guards here
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def render_json(obj) -> str:
@@ -101,9 +97,9 @@ def _parse_tol(text: str) -> Fraction:
     try:
         tol = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"invalid tolerance {text!r}: {exc}") from None
+        raise ValueError(f"invalid tolerance {text!r}: {exc}") from None
     if tol <= 0:
-        raise _UsageError("tolerance must be positive")
+        raise ValueError("tolerance must be positive")
     return tol
 
 
@@ -122,17 +118,10 @@ def _guard_value(args, dest: str, default: int) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if value < 0:
-        raise _UsageError(f"{source} must be >= 0, got {value}")
+        raise ValueError(f"{source} must be >= 0, got {value}")
     return value
-
-
-def _prime(value: int) -> Prime:
-    try:
-        return Prime(value)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
 
 
 # --- sequence engines -------------------------------------------------------
@@ -153,7 +142,7 @@ ENGINE_TERMS = {
         count_basis_enumeration(p, d, e, max_compositions=guard)
         for e in range(1, emax + 1))),
     "carry": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: (
-        count_basis_carryvectors(p, d, e, build_table(p, d), max_carryvectors=guard))),
+        count_basis_carryvectors(p, d, e, max_carryvectors=guard))),
     "closed": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: closed_form_d3(p, e)),
 }
 ENGINES = ("auto", *ENGINE_TERMS)
@@ -164,20 +153,20 @@ def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str
         total = composition_count(p**emax - 1, d) if emax >= 1 else 0
         return "enumerate" if total <= min(AUTO_ENUMERATE_LIMIT, guard) else "transfer"
     if engine == "closed" and d != 3:
-        raise _UsageError("engine 'closed' applies to d = 3 only")
+        raise ValueError("engine 'closed' applies to d = 3 only")
     if engine == "carry" and d < 3:
-        raise _UsageError(
+        raise ValueError(
             "engine 'carry' needs d >= 3; use 'transfer' or 'enumerate' for small d"
         )
     return engine
 
 
 def _sequence_report(args) -> ComplexityReport:
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.d < 1:
-        raise _UsageError("d must be >= 1")
+        raise ValueError("d must be >= 1")
     if args.emax < 0:
-        raise _UsageError("emax must be >= 0")
+        raise ValueError("emax must be >= 0")
     comp_guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
     carry_guard = _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)
     engine = _resolve_engine(args.engine, p, args.d, args.emax, comp_guard)
@@ -185,7 +174,7 @@ def _sequence_report(args) -> ComplexityReport:
     terms = ENGINE_TERMS[engine](p, args.d, args.emax, guard)
     if isinstance(terms, ComplexityReport):
         return terms
-    return ComplexityReport.from_terms(p, args.d, engine, list(terms))
+    return ComplexityReport(p, args.d, engine, tuple(terms))
 
 
 def _cmd_sequence(args) -> int:
@@ -219,9 +208,9 @@ def _cmd_sequence(args) -> int:
 # --- spectral commands ------------------------------------------------------
 
 def _cmd_mdpoly(args) -> int:
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.d < 1:
-        raise _UsageError("d must be >= 1")
+        raise ValueError("d must be >= 1")
     table = build_table(p, args.d)
     if args.format == "table":
         print(f"# p={p} d={args.d} top_degree={table.top_degree}")
@@ -234,9 +223,9 @@ def _cmd_mdpoly(args) -> int:
 
 def _complexity_report(args, refusal: str):
     """(p, radius enclosure, decimal endpoints) for complexity and segre."""
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.d < 3:
-        raise _UsageError(refusal)
+        raise ValueError(refusal)
     tol = _parse_tol(args.tol)
     cx = frobenius_complexity(p, args.d, tol)
     places = decimal_places(tol)
@@ -342,15 +331,15 @@ def _format_rows(op: TwistedOperator) -> list[str]:
 
 
 def _cmd_twisted_demo(args) -> int:
-    p = _prime(args.p)
+    p = Prime(args.p)
     if args.trunc < 1:
-        raise _UsageError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     if args.r < 1:
-        raise _UsageError("r must be >= 1")
+        raise ValueError("r must be >= 1")
     ring = QuotientRing(p, args.trunc)
     e0 = min_kill_degree(ring)
     if args.e < e0:
-        raise _UsageError(f"need e >= {e0} so that p^e >= N")
+        raise ValueError(f"need e >= {e0} so that p^e >= N")
     rng = random.Random(args.seed)
     op = random_operator(ring, args.r, args.e, rng)
     print(f"# twisted demo: p={p} N={args.trunc} r={args.r} e={args.e} seed={args.seed}")
@@ -431,25 +420,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    limit = sys.get_int_max_str_digits()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        # counts and decimal endpoints may pass Python's int/str digit limit;
+        # it is lifted for the command only, after argument parsing
+        sys.set_int_max_str_digits(0)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main_entry() -> None:

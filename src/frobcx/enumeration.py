@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .basep import ExponentVector, Prime
 from .errors import GuardExceeded
-from .poincare import PoincareTable, build_table
+from .poincare import build_table
 
 DEFAULT_MAX_COMPOSITIONS = 10**8
 DEFAULT_MAX_CARRYVECTORS = 10**8
@@ -85,29 +85,17 @@ def is_basis_monomial(v: ExponentVector) -> bool:
     return True
 
 
-def _restricted_count(n_total: int, d: int, lo: int, hi: int) -> int:
-    # compositions of n_total into d parts whose first part lies in [lo, hi]
-    if hi < lo:
-        return 0
-    if d == 1:
-        return 1 if lo <= n_total <= hi else 0
-    return comb(n_total - lo + d - 1, d - 1) - comb(n_total - hi + d - 2, d - 1)
-
-
 def count_basis_enumeration(
     p: int,
     d: int,
     e: int,
     *,
     max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
-    first_coord: range | None = None,
 ) -> int:
     """Count basis monomials by walking compositions of p^e - 1.
 
-    ``first_coord`` restricts the first exponent to a range, so a large
-    cell can be partitioned into independent sub-counts whose results add
-    up to the unrestricted total.  Raises GuardExceeded before iterating
-    if the number of compositions to visit exceeds ``max_compositions``.
+    Raises GuardExceeded before iterating if the number of compositions
+    to visit exceeds ``max_compositions``.
 
     The walk recurses over the first d-1 coordinates (the last one is
     forced by the degree), carrying the partial truncated sums so shared
@@ -120,16 +108,7 @@ def count_basis_enumeration(
     if e < 1:
         raise ValueError("e must be >= 1")
     n_total = p**e - 1
-    lo, hi = 0, n_total
-    if first_coord is not None:
-        if first_coord.step != 1:
-            raise ValueError("first_coord must have step 1")
-        lo = max(lo, first_coord.start)
-        hi = min(hi, first_coord.stop - 1)
-        if hi < lo:
-            return 0
-
-    needed = _restricted_count(n_total, d, lo, hi)
+    needed = composition_count(n_total, d)
     if needed > max_compositions:
         raise GuardExceeded("enumeration of compositions", needed, max_compositions)
 
@@ -147,10 +126,8 @@ def count_basis_enumeration(
     def descend(i: int, rem: int, sums: list[int]) -> None:
         nonlocal total
         if i == d - 2:
-            first = lo if d == 2 else 0
-            last = hi if d == 2 else rem
-            md = [first % q for q in pw]
-            for _ in range(first, last + 1):
+            md = [0] * ne1
+            for _ in range(rem + 1):
                 for t in range(ne1):
                     if sums[t] + md[t] < pw[t]:
                         break
@@ -160,8 +137,7 @@ def count_basis_enumeration(
                     v = md[t] + 1
                     md[t] = 0 if v == pw[t] else v
             return
-        rng = range(lo, hi + 1) if i == 0 else range(rem + 1)
-        for a in rng:
+        for a in range(rem + 1):
             descend(i + 1, rem - a, [sums[t] + a % pw[t] for t in range(ne1)])
 
     descend(0, n_total, [0] * ne1)
@@ -172,7 +148,6 @@ def count_basis_carryvectors(
     p: int,
     d: int,
     e: int,
-    table: PoincareTable | None = None,
     *,
     max_carryvectors: int = DEFAULT_MAX_CARRYVECTORS,
 ) -> int:
@@ -193,18 +168,11 @@ def count_basis_carryvectors(
         raise ValueError(
             "carry-vector counting needs e >= 2 (at e = 1 the count is comb(d+p-2, p-1))"
         )
-    if table is None:
-        table = build_table(p, d)
-    elif (table.p, table.d) != (p, d):
-        raise ValueError(
-            f"table is for (p={table.p}, d={table.d}), not (p={p}, d={d})"
-        )
-
     needed = (d - 2) ** (e - 1)
     if needed > max_carryvectors:
         raise GuardExceeded("carry-vector sum", needed, max_carryvectors)
 
-    md = table.coeff
+    md = build_table(p, d).coeff
     total = 0
     for vec in product(range(1, d - 1), repeat=e - 1):
         prev = 0

@@ -17,11 +17,12 @@ c_{d,e} = 0 for d <= 2, e >= 2 (no positive interior carry is possible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 
 from .basep import Prime
-from .poincare import PoincareTable, build_table
+from .poincare import build_table
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class TransferSystem:
             raise ValueError("x0 and weights must have length d-2")
 
 
-def build_system(p: int, d: int, table: PoincareTable | None = None) -> TransferSystem:
+def build_system(p: int, d: int) -> TransferSystem:
     """Assemble the transfer system for (p, d), d >= 3."""
     p = Prime(p)
     if d < 3:
@@ -57,14 +58,8 @@ def build_system(p: int, d: int, table: PoincareTable | None = None) -> Transfer
             "no transfer system for d <= 2; counts there are comb(d+p-2, p-1) "
             "at e = 1 and 0 for e >= 2"
         )
-    if table is None:
-        table = build_table(p, d)
-    elif (table.p, table.d) != (p, d):
-        raise ValueError(
-            f"table is for (p={table.p}, d={table.d}), not (p={p}, d={d})"
-        )
     n = d - 2
-    md = table.coeff
+    md = build_table(p, d).coeff
     matrix = tuple(
         tuple(md(p * i - j + p - 1) for j in range(1, n + 1)) for i in range(1, n + 1)
     )
@@ -87,9 +82,7 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
     return tuple(x)
 
 
-def complexity_term(
-    p: int, d: int, e: int, table: PoincareTable | None = None
-) -> int:
+def complexity_term(p: int, d: int, e: int) -> int:
     """The generator count c_{d,e}, via the transfer recursion."""
     p = Prime(p)
     if d < 1:
@@ -102,7 +95,7 @@ def complexity_term(
         return comb(d + p - 2, p - 1)
     if d <= 2:
         return 0
-    system = build_system(p, d, table)
+    system = build_system(p, d)
     x = state(system, e - 2)
     return sum(w * v for w, v in zip(system.weights, x))
 
@@ -115,35 +108,19 @@ class ComplexityReport:
     d: int
     engine: str
     c: tuple[int, ...]
-    k: tuple[int, ...]
+    k: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Prime(self.p))
         if not self.c or self.c[0] != 0:
             raise ValueError("c must start with c_0 = 0")
-        if len(self.k) != len(self.c):
-            raise ValueError("c and k must have equal length")
         if any(x < 0 for x in self.c):
             raise ValueError("counts must be nonnegative")
-        run = 0
-        for ce, ke in zip(self.c, self.k):
-            run += ce
-            if ke != run:
-                raise ValueError("k must be the running sum of c")
+        object.__setattr__(self, "k", tuple(accumulate(self.c)))
 
     @property
     def emax(self) -> int:
         return len(self.c) - 1
-
-    @classmethod
-    def from_terms(
-        cls, p: int, d: int, engine: str, c: list[int] | tuple[int, ...]
-    ) -> "ComplexityReport":
-        k, run = [], 0
-        for ce in c:
-            run += ce
-            k.append(run)
-        return cls(Prime(p), d, engine, tuple(c), tuple(k))
 
 
 def complexity_sequence(
@@ -173,4 +150,4 @@ def complexity_sequence(
         for e in range(3, emax + 1):
             x = _apply(system.matrix, x)
             c[e] = sum(w * v for w, v in zip(system.weights, x))
-    return ComplexityReport.from_terms(p, d, "transfer", c)
+    return ComplexityReport(p, d, "transfer", tuple(c))

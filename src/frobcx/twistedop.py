@@ -109,9 +109,6 @@ class QElem:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def constant_term(self) -> int:
-        return self.coeffs[0]
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):

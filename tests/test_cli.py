@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from frobcx.cli import decimal_places, decimal_str, main, render_json
+from frobcx.transfer import complexity_term
 from fractions import Fraction
 
 
@@ -189,3 +191,44 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(-1, 3), 2, round_up=False) == "-0.34"
     assert decimal_str(Fraction(-1, 3), 2, round_up=True) == "-0.33"
     assert decimal_str(Fraction(5), 0, round_up=True) == "5"
+    # tol 1e-5000 needs more digits than Python converts by default; main
+    # lifts the limit for the command, as done here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        places = decimal_places(Fraction(1, 10**5000))
+        lo = decimal_str(Fraction(1, 3), places, round_up=False)
+        hi = decimal_str(Fraction(-2, 3), places, round_up=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert places == 5002
+    assert lo == "0." + "3" * 5002
+    assert hi == "-0." + "6" * 5002
+
+
+def test_counts_past_the_int_str_digit_limit(capsys):
+    code, out, err = run(capsys, "sequence", "--p", "11", "--d", "10", "--emax", "460",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    e, ce, _ = out.splitlines()[-1].split(",")
+    c = complexity_term(11, 10, 460)
+    # compared without int/str conversions, which the digit limit would refuse
+    assert e == "460" and len(ce) > 4300
+    assert 10 ** (len(ce) - 1) <= c < 10 ** len(ce)
+    assert int(ce[-18:]) == c % 10**18
+
+
+def test_main_restores_the_digit_limit(capsys):
+    default = sys.get_int_max_str_digits()
+    runs = [(("mdpoly", "--p", "2", "--d", "4"), 0), (("mdpoly", "--p", "4", "--d", "4"), 1),
+            (("nonsense",), 1), (("--help",), 0),
+            (("sequence", "--p", "2", "--d", "6", "--emax", "8", "--engine", "enumerate",
+              "--max-compositions", "1000"), 2)]
+    try:
+        for limit in (default, 5000):
+            sys.set_int_max_str_digits(limit)
+            for argv, expected in runs:
+                assert run(capsys, *argv)[0] == expected
+                assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(default)

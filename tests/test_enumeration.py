@@ -10,7 +10,6 @@ from frobcx.enumeration import (
     is_basis_monomial,
 )
 from frobcx.errors import GuardExceeded
-from frobcx.poincare import build_table
 
 # brute-forced with a standalone per-monomial checker before this package
 # existed; the three engines reproduced every value independently
@@ -65,9 +64,8 @@ def test_composition_count_validates():
 
 def test_frozen_counts_all_engines():
     for (p, d, e), expected in FROZEN_COUNTS.items():
-        table = build_table(p, d)
         assert count_basis_enumeration(p, d, e) == expected
-        assert count_basis_carryvectors(p, d, e, table) == expected
+        assert count_basis_carryvectors(p, d, e) == expected
 
 
 def test_fast_counter_matches_naive_walk():
@@ -88,20 +86,6 @@ def test_small_d_vanishes_beyond_level_one():
                 assert count_basis_enumeration(p, d, e) == 0
 
 
-def test_partitioned_counts_add_up():
-    for p, d, e in [(2, 4, 4), (3, 3, 3), (2, 5, 3)]:
-        n = p**e - 1
-        full = count_basis_enumeration(p, d, e)
-        cut1, cut2 = n // 3, 2 * n // 3
-        pieces = [range(0, cut1), range(cut1, cut2), range(cut2, n + 1)]
-        assert sum(
-            count_basis_enumeration(p, d, e, first_coord=r) for r in pieces
-        ) == full
-        # out-of-range and empty pieces contribute nothing
-        assert count_basis_enumeration(p, d, e, first_coord=range(n + 1, n + 9)) == 0
-        assert count_basis_enumeration(p, d, e, first_coord=range(5, 5)) == 0
-
-
 def test_guards_trip_before_iterating():
     with pytest.raises(GuardExceeded) as info:
         count_basis_enumeration(2, 6, 6, max_compositions=10**6)
@@ -115,8 +99,6 @@ def test_carryvectors_validates_domain():
         count_basis_carryvectors(2, 2, 3)
     with pytest.raises(ValueError):
         count_basis_carryvectors(2, 4, 1)
-    with pytest.raises(ValueError):
-        count_basis_carryvectors(2, 4, 3, build_table(2, 5))
 
 
 def composition_strategy(p, e, d):
