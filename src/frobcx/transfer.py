@@ -13,10 +13,16 @@ vector of counts by carry therefore evolves linearly:
 with the two degenerate levels handled directly: c_{d,0} = 0, c_{d,1} =
 comb(d + p - 2, p - 1) (every monomial of degree p - 1 qualifies), and
 c_{d,e} = 0 for d <= 2, e >= 2 (no positive interior carry is possible).
+
+One term costs O(log e) matrix products by binary powering of U, on
+integers that grow to about e * log2(rho) bits, rho the spectral radius.
+The whole sequence up to emax is one stepwise sweep of emax
+matrix-vector products, since every term has to be emitted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
@@ -68,17 +74,30 @@ def build_system(p: int, d: int) -> TransferSystem:
     return TransferSystem(p, d, matrix, x0, weights)
 
 
-def _apply(matrix: tuple[tuple[int, ...], ...], x: list[int]) -> list[int]:
+def _apply(matrix: tuple[tuple[int, ...], ...], x: Sequence[int]) -> list[int]:
     return [sum(u * v for u, v in zip(row, x)) for row in matrix]
 
 
+def _square(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    columns = tuple(zip(*matrix))
+    return tuple(tuple(_apply(columns, row)) for row in matrix)
+
+
 def state(system: TransferSystem, e: int) -> tuple[int, ...]:
-    """The census vector U^e x0, by e matrix-vector products."""
+    """The census vector U^e x0, by binary powering of U.
+
+    Bits of e are read from the lowest: x takes a factor U^(2^k) for every
+    set bit k, which is sound because all powers of U commute.
+    """
     if e < 0:
         raise ValueError("e must be >= 0")
-    x = list(system.x0)
-    for _ in range(e):
-        x = _apply(system.matrix, x)
+    x, power = list(system.x0), system.matrix
+    while e:
+        if e & 1:
+            x = _apply(power, x)
+        e >>= 1
+        if e:  # skip the last square: nothing uses it, and it is the costliest
+            power = _square(power)
     return tuple(x)
 
 

@@ -1,15 +1,19 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobcx.enumeration import count_basis_enumeration
 from frobcx.transfer import (
     ComplexityReport,
     TransferSystem,
+    _apply,
     build_system,
     complexity_sequence,
     complexity_term,
     state,
 )
+
+# e = 0, 1 and 2^k - 1, 2^k, 2^k + 1: the bit patterns where powering can slip
+POWERING_EDGES = sorted({0, 1} | {2**k + s for k in range(1, 7) for s in (-1, 0, 1)})
 
 
 def test_frozen_system_p2_d4():
@@ -41,6 +45,48 @@ def test_state_iterates_matrix_powers():
     assert state(sys24, 2) == (160, 40)
     with pytest.raises(ValueError):
         state(sys24, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=3, max_value=9),
+    st.one_of(st.sampled_from(POWERING_EDGES), st.integers(min_value=0, max_value=70)),
+)
+@example(7, 9, 70)
+def test_state_equals_stepwise_products(p, d, e):
+    system = build_system(p, d)
+    steps = [list(system.x0)]
+    for _ in range(70):
+        steps.append(_apply(system.matrix, steps[-1]))
+    for n in {e, *POWERING_EDGES}:
+        assert state(system, n) == tuple(steps[n])
+
+
+def _count_mod_by_steps(p, d, e, q):
+    """c_{d,e} mod q for e >= 2, from the recursion written out afresh."""
+    md = [1]  # coefficients of (1 + t + ... + t^(p-1))^d
+    for _ in range(d):
+        md = [sum(md[k - i] for i in range(p) if 0 <= k - i < len(md))
+              for k in range(len(md) + p - 1)]
+
+    def coeff(k):
+        return md[k] % q if 0 <= k < len(md) else 0
+
+    n = range(1, d - 1)
+    matrix = [[coeff(p * i - j + p - 1) for j in n] for i in n]
+    x = [coeff(p * i + p - 1) for i in n]
+    for _ in range(e - 2):
+        x = [sum(u * v for u, v in zip(row, x)) % q for row in matrix]
+    return sum(coeff(p - 1 - i) * v for i, v in zip(n, x)) % q
+
+
+def test_far_terms_match_a_modular_recursion():
+    q = 2**61 - 1  # a Mersenne prime
+    for p, d, e in [(2, 6, 20000), (2, 5, 17000)]:
+        assert complexity_term(p, d, e) % q == _count_mod_by_steps(p, d, e, q)
+    for p, d, e in [(2, 4, 300), (2, 6, 257), (3, 5, 129), (7, 9, 64)]:
+        assert complexity_term(p, d, e) == complexity_sequence(p, d, 300).c[e]
 
 
 def test_complexity_term_frozen_values():
