@@ -1,7 +1,8 @@
 """Three independent ways to count basis monomials, racing on one cell.
 
-1. enumeration: walk every composition of p^e - 1 and test the truncated
-   digit sums directly.  Exponential, assumption-free.
+1. enumeration: count the compositions of p^e - 1 that pass the truncated
+   digit-sum inequalities, over distinct prefix states.  Assumption-free:
+   it uses the inequalities only, no carries.
 2. carry vectors: sum products of digit-count table entries over all
    possible interior carry vectors.  Cost (d-2)^(e-1).
 3. transfer: evolve a census vector by a fixed (d-2)x(d-2) integer matrix.
@@ -35,7 +36,7 @@ print()
 print("the transfer engine reaches levels enumeration never could:")
 report_c = complexity_term(2, 4, 40)
 print(f"c(p=2, d=4, e=40) = {report_c}")
-print("(the enumeration walk would need ~2^117 compositions for this cell)")
+print("(enumeration would face ~2^117 compositions for this cell, far past its guard)")
 far = complexity_term(2, 6, 20000)
 # bit_length, not str(): the count has more digits than Python's default int/str limit of 4,300
 print(f"c(p=2, d=6, e=20000) has {far.bit_length()} bits")

@@ -10,10 +10,14 @@ Equivalently (and tested as an invariant): adding all d exponents in base p
 produces a strictly positive carry out of every digit position below the
 top.  This module counts them two independent ways:
 
-* ``count_basis_enumeration`` walks the compositions of p^e - 1 directly
-  and tests the truncation inequalities.  Exponential in e, but exact and
-  assumption-free: it is the reference the structured engines are checked
-  against.
+* ``count_basis_enumeration`` counts the compositions of p^e - 1 that
+  pass the truncation inequalities, using nothing but the inequalities.
+  Prefixes with the same degree left and the same truncated sums (capped
+  at p^e1) have the same completions, so it counts distinct prefix states
+  rather than compositions, and counts the last free coordinate in closed
+  form.  Its cost is the number of distinct states times O(e^2).  It knows
+  nothing of carries, so it stays the assumption-free reference the
+  structured engines are checked against.
 
 * ``count_basis_carryvectors`` sums, over all possible interior carry
   vectors, the number of digit matrices realizing them.  Each digit column
@@ -85,6 +89,39 @@ def is_basis_monomial(v: ExponentVector) -> bool:
     return True
 
 
+def _count_last_coordinate(rem: int, sums: tuple[int, ...], pw: list[int]) -> int:
+    """Count m in [0, rem] with (m mod pw[t]) + sums[t] >= pw[t] for every t.
+
+    ``pw`` is [p, p^2, ..., p^(e-1)] and each ``sums[t]`` lies in
+    [0, pw[t]].  Only m mod p^(e-1) matters, so whole periods of p^(e-1)
+    each hold the same number of accepted m.  For m below p^k, level k
+    asks m >= p^k - sums[k-1] and the lower levels see only m mod p^(k-1),
+    so the count over [0, n) peels one base-p block per level: O(e) per
+    count, O(e^2) with the per-level counts it needs.
+    """
+    p = pw[0]
+    low = [q - s for q, s in zip(pw, sums)]
+    whole = [1]  # whole[k]: accepted m in [0, p^k) at levels 1..k
+    below = [0]  # below[k]: accepted m in [0, low[k-1]) at levels 1..k-1
+
+    def accepted(k: int, n: int) -> int:
+        """Accepted m in [0, n) at levels 1..k."""
+        total = 0
+        while k:
+            full, n = divmod(n, pw[k - 1])
+            total += full * whole[k]
+            if n <= low[k - 1]:
+                return total
+            total -= below[k]
+            k -= 1
+        return total + n
+
+    for k in range(1, len(pw) + 1):
+        below.append(accepted(k - 1, low[k - 1]))
+        whole.append(p * whole[k - 1] - below[k])
+    return accepted(len(pw), rem + 1)
+
+
 def count_basis_enumeration(
     p: int,
     d: int,
@@ -92,15 +129,20 @@ def count_basis_enumeration(
     *,
     max_compositions: int = DEFAULT_MAX_COMPOSITIONS,
 ) -> int:
-    """Count basis monomials by walking compositions of p^e - 1.
+    """Count the compositions of p^e - 1 that pass the truncation inequalities.
 
-    Raises GuardExceeded before iterating if the number of compositions
-    to visit exceeds ``max_compositions``.
+    Raises GuardExceeded before any work if the number of compositions
+    exceeds ``max_compositions``.
 
-    The walk recurses over the first d-1 coordinates (the last one is
-    forced by the degree), carrying the partial truncated sums so shared
-    prefixes are processed once; the innermost loop updates each
-    truncation incrementally instead of reducing mod p^e1 from scratch.
+    Only the first d-1 coordinates enter the inequalities (the last is
+    forced by the degree).  After a prefix of them, the completions that
+    pass depend only on the degree left and on each truncated sum, and a
+    sum that has reached p^e1 stays at or above it, so it is capped there.
+    The first d-2 coordinates are added one at a time to a table
+    {(degree left, capped sums): number of prefixes}; the values of the
+    last free coordinate that pass are then counted in closed form for
+    each entry.  Cost: the number of distinct states times O(e^2), where
+    the number of compositions bounds the states.
     """
     p = Prime(p)
     if d < 1:
@@ -120,28 +162,17 @@ def count_basis_enumeration(
         return 0
 
     pw = [p**t for t in range(1, e)]
-    ne1 = e - 1
-    total = 0
-
-    def descend(i: int, rem: int, sums: list[int]) -> None:
-        nonlocal total
-        if i == d - 2:
-            md = [0] * ne1
-            for _ in range(rem + 1):
-                for t in range(ne1):
-                    if sums[t] + md[t] < pw[t]:
-                        break
-                else:
-                    total += 1
-                for t in range(ne1):
-                    v = md[t] + 1
-                    md[t] = 0 if v == pw[t] else v
-            return
-        for a in range(rem + 1):
-            descend(i + 1, rem - a, [sums[t] + a % pw[t] for t in range(ne1)])
-
-    descend(0, n_total, [0] * ne1)
-    return total
+    states = {(n_total, (0,) * (e - 1)): 1}
+    for _ in range(d - 2):
+        grown: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (rem, sums), n in states.items():
+            for a in range(rem + 1):
+                key = (rem - a, tuple(min(s + a % q, q) for s, q in zip(sums, pw)))
+                grown[key] = grown.get(key, 0) + n
+        states = grown
+    return sum(
+        n * _count_last_coordinate(rem, sums, pw) for (rem, sums), n in states.items()
+    )
 
 
 def count_basis_carryvectors(

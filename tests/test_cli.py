@@ -78,6 +78,16 @@ def test_sequence_auto_picks_enumerate_when_cheap(capsys):
     assert json.loads(out)["engine"] == "transfer"
 
 
+def test_sequence_enumerates_a_deep_cell(capsys):
+    # 99,491,141 compositions at e = 2, just under the default guard
+    code, out, _ = run(
+        capsys, "sequence", "--p", "2", "--d", "841", "--emax", "2",
+        "--engine", "enumerate", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["c"] == ["0", "841", "98783860"]
+
+
 def test_complexity_json_round_trip(capsys):
     code, out, _ = run(capsys, "complexity", "--p", "2", "--d", "4", "--tol", "1e-9")
     assert code == 0

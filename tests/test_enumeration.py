@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobcx.basep import ExponentVector, carry_sequence
 from frobcx.enumeration import (
@@ -10,6 +10,7 @@ from frobcx.enumeration import (
     is_basis_monomial,
 )
 from frobcx.errors import GuardExceeded
+from frobcx.transfer import complexity_term
 
 # brute-forced with a standalone per-monomial checker before this package
 # existed; the three engines reproduced every value independently
@@ -70,8 +71,30 @@ def test_frozen_counts_all_engines():
 
 def test_fast_counter_matches_naive_walk():
     for p, d, e in [(2, 2, 3), (2, 3, 3), (2, 4, 3), (2, 5, 2), (3, 3, 2),
-                    (3, 4, 2), (5, 3, 2), (2, 1, 2), (3, 1, 1), (2, 6, 2)]:
-        assert count_basis_enumeration(p, d, e) == naive_count(p, d, e)
+                    (3, 4, 2), (5, 3, 2), (2, 1, 2), (3, 1, 1), (2, 6, 2),
+                    # d = 3: the last free coordinate spans p periods of p^(e-1)
+                    (5, 3, 3), (7, 3, 2), (3, 3, 4),
+                    # 65% and 35% of prefixes reach every cap p^e1
+                    (2, 10, 3), (2, 6, 4),
+                    # the e = 1, d = 1 and d = 2 branches
+                    (3, 4, 1), (5, 2, 1), (3, 1, 3), (5, 2, 2)]:
+        assert count_basis_enumeration(p, d, e) == naive_count(p, d, e), (p, d, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=6),
+)
+def test_counter_matches_naive_walk_on_small_cells(p, d, e):
+    assume(composition_count(p**e - 1, d) <= 2 * 10**4)
+    assert count_basis_enumeration(p, d, e) == naive_count(p, d, e)
+
+
+def test_deep_cell_counts_without_recursion():
+    # 99,491,141 compositions, just under the default guard, 839 prefix steps
+    assert count_basis_enumeration(2, 841, 2) == complexity_term(2, 841, 2)
 
 
 def test_level_one_counts_every_composition():
@@ -90,8 +113,12 @@ def test_guards_trip_before_iterating():
     with pytest.raises(GuardExceeded) as info:
         count_basis_enumeration(2, 6, 6, max_compositions=10**6)
     assert info.value.needed == composition_count(2**6 - 1, 6)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded) as info:
+        count_basis_enumeration(2, 841, 2, max_compositions=99_491_140)
+    assert info.value.needed == 99_491_141
+    with pytest.raises(GuardExceeded) as info:
         count_basis_carryvectors(2, 12, 9, max_carryvectors=10**7)
+    assert info.value.needed == 10**8
 
 
 def test_carryvectors_validates_domain():
