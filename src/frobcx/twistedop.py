@@ -9,11 +9,12 @@ composition rule
 
 where B^[p^e] raises each entry to its p^e-th power.  Over R that power
 map is cheap bookkeeping: coefficients live in F_p, so they are fixed, and
-x^i maps to x^(i p^e), i.e. coefficient i moves to position i * p^e and
-falls off the end once i * p^e >= N.  In particular, as soon as p^e >= N
-the map keeps only the constant term, which is why every operator of large
-degree factors as a fixed-degree operator composed with twists of the
-identity.
+coefficient i moves to position i * p^e, falling off the end once
+i * p^e >= N.  So as soon as p^e >= N the map keeps only the constant term,
+which is why every operator of large degree factors as a fixed-degree
+operator composed with twists of the identity, and why p^min(e, N) serves
+for p^e.  One kernel computes an entry of A * B^[q] on coefficient tuples;
+products (q = 1), powers and compositions all go through it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class QuotientRing:
 
     def element(self, coeffs) -> "QElem":
         """Quotient-map an integer coefficient list: reduce mod p, drop x^n on."""
-        cs = list(coeffs)[: self.n]
-        cs += [0] * (self.n - len(cs))
-        return QElem(self, tuple(c % self.p for c in cs))
+        cs = [c % self.p for c in list(coeffs)[: self.n]]
+        return QElem(self, tuple(cs + [0] * (self.n - len(cs))))
 
     def zero(self) -> "QElem":
         return self.element([])
@@ -66,7 +66,7 @@ class QElem:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.ring.n:
             raise ValueError("coefficient vector must have length n")
-        if any(not 0 <= c < self.ring.p for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= self.ring.p:
             raise ValueError("coefficients must be reduced mod p")
 
     def _check_ring(self, other: "QElem") -> None:
@@ -83,13 +83,7 @@ class QElem:
 
     def __mul__(self, other: "QElem") -> "QElem":
         self._check_ring(other)
-        p, n = self.ring.p, self.ring.n
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    out[i + j] += a * b
-        return QElem(self.ring, tuple(c % p for c in out))
+        return _product((self,), (other,), 1)
 
     def frobenius(self, e: int) -> "QElem":
         """The p^e-th power: coefficient i moves to position i * p^e."""
@@ -97,14 +91,7 @@ class QElem:
             raise ValueError("twist degree must be >= 0")
         if e == 0:
             return self
-        q = self.ring.p**e
-        out = [0] * self.ring.n
-        for i, c in enumerate(self.coeffs):
-            pos = i * q
-            if pos >= self.ring.n:
-                break
-            out[pos] = c
-        return QElem(self.ring, tuple(out))
+        return _product((self.ring.one(),), (self,), _twist(self.ring, e))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -142,15 +129,24 @@ def bracket(rows, e: int) -> QMatrix:
     return tuple(tuple(v.frobenius(e) for v in row) for row in _as_matrix(rows))
 
 
-def _mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    r = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][t] * b[t][j] for t in range(1, r)), start=a[i][0] * b[0][j])
-            for j in range(r)
-        )
-        for i in range(r)
-    )
+def _twist(ring: QuotientRing, e: int) -> int:
+    """p^e, capped at p^n: since p^n >= n, deeper twists act the same."""
+    return ring.p ** min(e, ring.n)
+
+
+def _product(row, col, q: int) -> QElem:
+    """One entry of A * B^[q], the sum over t of row[t] * col[t]^[q], on
+    coefficient tuples: coefficient v of col[t] is read at position v * q,
+    and the sum is reduced mod p once."""
+    ring = row[0].ring
+    n = ring.n
+    acc = [0] * n
+    for x, y in zip(row, col):
+        for u, c in enumerate(x.coeffs):
+            if c:
+                for pos, d in zip(range(u, n, q), y.coeffs):
+                    acc[pos] += c * d
+    return QElem(ring, tuple([c % ring.p for c in acc]))
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,9 @@ def compose(f: TwistedOperator, g: TwistedOperator) -> TwistedOperator:
         raise ValueError("operators act on different rings")
     if f.size != g.size:
         raise ValueError("operators have different matrix sizes")
-    return TwistedOperator(_mat_mul(f.rows, bracket(g.rows, f.degree)),
-                           f.degree + g.degree)
+    q, cols = _twist(f.ring, f.degree), tuple(zip(*g.rows))
+    rows = tuple(tuple(_product(row, col, q) for col in cols) for row in f.rows)
+    return TwistedOperator(rows, f.degree + g.degree)
 
 
 def identity_operator(ring: QuotientRing, size: int, degree: int = 0) -> TwistedOperator:
@@ -218,7 +215,8 @@ def factorization_check(rows, e: int, e0: int) -> bool:
     Requires e >= e0 and p^e0 >= n.  Verifies (A, e) == (A, e0) o (I, e-e0)
     exactly, and additionally, when e - e0 >= 2*e0, that the identity tail
     itself splits into a chain (I, e0) o ... o (I, e0) o (I, c) with
-    e0 <= c < 2*e0, so high twists reduce to a bounded generating set.
+    e0 <= c < 2*e0, so high twists reduce to a bounded generating set.  The
+    chain is composed by squaring, in O(log e) compositions.
     """
     rows = _as_matrix(rows)
     ring = rows[0][0].ring
@@ -236,9 +234,13 @@ def factorization_check(rows, e: int, e0: int) -> bool:
     if e0 >= 1 and tail >= 2 * e0:
         k = tail // e0 - 1
         c = tail - k * e0
-        chain = identity_operator(ring, size, c)
-        for _ in range(k):
-            chain = compose(identity_operator(ring, size, e0), chain)
+        chain, step = identity_operator(ring, size, c), identity_operator(ring, size, e0)
+        while k:  # by squaring: every factor is a power of (I, e0)
+            if k & 1:
+                chain = compose(step, chain)
+            k >>= 1
+            if k:  # skip the last square, which nothing uses
+                step = compose(step, step)
         if chain != identity_operator(ring, size, tail):
             return False
     return True

@@ -187,6 +187,16 @@ def test_twisted_demo_deterministic(capsys):
     assert code == 1  # e below the kill threshold for N=4
 
 
+def test_twisted_demo_deep_twist_splits_by_squaring(capsys):
+    code, out, _ = run(capsys, "twisted", "demo", "--p", "3", "--N", "5", "--r", "3",
+                       "--e", str(10**18))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "identity chain: (I,999999999999999998) == (I,2)^o499999999999999998 "
+        "o (I,2): PASS"
+    )
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "sequence", "--help")[0] == 0

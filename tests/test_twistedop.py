@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcx.twistedop import (
+    QElem,
     QuotientRing,
     TwistedOperator,
     bracket,
@@ -49,6 +50,22 @@ def test_arithmetic_truncates():
     assert ((one + x) * (one + x)).coeffs == (1, 0, 1, 0)
 
 
+def test_element_construction_validates():
+    r = ring24()
+    with pytest.raises(ValueError):
+        QElem(r, (1, 0, 0))  # length 3 in a ring with n = 4
+    with pytest.raises(ValueError):
+        QElem(r, (1, 0, 2, 0))  # 2 is not reduced mod 2
+    with pytest.raises(ValueError):
+        QElem(r, (0, -1, 0, 0))
+
+
+def test_operator_rejects_entries_from_different_rings():
+    a, b = ring24().one(), QuotientRing(2, 5).one()
+    with pytest.raises(ValueError):
+        TwistedOperator(((a, a), (a, b)), 0)
+
+
 def test_mixed_ring_arithmetic_rejected():
     a = ring24().one()
     b = QuotientRing(2, 5).one()
@@ -79,6 +96,22 @@ def test_frobenius_is_the_power_map():
             for _ in range(p):
                 power = power * a
             assert a.frobenius(1) == power
+
+
+def test_deep_twists_keep_only_constant_terms():
+    # p^e is capped at p^n, so these return at once instead of building
+    # a 10^18-digit power
+    ring = QuotientRing(3, 4)
+    rng = random.Random(5)
+    rows = random_operator(ring, 2, 0, rng).rows
+    deep = bracket(rows, 10**18)
+    for row, deep_row in zip(rows, deep):
+        for v, w in zip(row, deep_row):
+            assert w.coeffs == (v.coeffs[0], 0, 0, 0)
+    op = random_operator(ring, 2, 3, rng)
+    out = compose(identity_operator(ring, 2, 10**18), op)
+    assert out.degree == 10**18 + op.degree
+    assert out.rows == bracket(op.rows, 10**18)
 
 
 def test_min_kill_degree():
@@ -211,3 +244,57 @@ def test_associativity_and_degrees_random(data):
     then_prod = compose(TwistedOperator(bracket(a.rows, e), 0),
                         TwistedOperator(bracket(b.rows, e), 0)).rows
     assert prod_then == then_prod
+
+
+def schoolbook_twisted_product(a, b, p, n, q):
+    """A * B^[q] from plain coefficient lists: substitute x^q into each entry
+    of B, multiply out in full, then drop x^n and higher and reduce mod p."""
+    def twist(g):
+        out = [0] * ((len(g) - 1) * q + 1)
+        for v, c in enumerate(g):
+            out[v * q] = c
+        return out
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, c in enumerate(f):
+            for j, d in enumerate(g):
+                out[i + j] += c * d
+        return out
+
+    r = len(a)
+    result = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            total = [0] * n
+            for t in range(r):
+                full = times(a[i][t], twist(b[t][j]))
+                for k in range(min(n, len(full))):
+                    total[k] += full[k]
+            row.append(tuple(c % p for c in total))
+        result.append(row)
+    return result
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_compose_matches_schoolbook_reference(data):
+    p, n = data.draw(st.sampled_from([(2, 4), (3, 3), (5, 2)]))
+    r = data.draw(st.integers(min_value=1, max_value=3))
+    da, db = (data.draw(st.integers(min_value=0, max_value=3)) for _ in range(2))
+    matrix = st.lists(
+        st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                 min_size=r, max_size=r),
+        min_size=r, max_size=r,
+    )
+    a, b = data.draw(matrix), data.draw(matrix)
+    ring = QuotientRing(p, n)
+
+    def op(m, deg):
+        return TwistedOperator(tuple(tuple(ring.element(c) for c in row) for row in m), deg)
+
+    fg = compose(op(a, da), op(b, db))
+    assert fg.degree == da + db
+    expected = schoolbook_twisted_product(a, b, p, n, p**da)
+    assert [[v.coeffs for v in row] for row in fg.rows] == expected
