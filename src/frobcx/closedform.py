@@ -26,7 +26,7 @@ from __future__ import annotations
 from .basep import Prime, digits
 from .errors import GuardExceeded
 
-DEFAULT_MAX_TERMS = 10**7
+MAX_TERMS = 10**7
 
 
 def closed_form_d3(p: int, e: int) -> int:
@@ -60,12 +60,12 @@ def xi_weight(p: int, e: int, i: int) -> int:
     return w
 
 
-def lower_bound(p: int, d: int, e: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> int:
+def lower_bound(p: int, d: int, e: int) -> int:
     """Exact evaluation of the xi-weight lower bound for c_{d,e}.
 
     Runs a base-p odometer over i = 0..p^e - 1, updating the binomial
     comb(d-3+i, i) by one exact multiply/divide per step.  Guarded by
-    ``max_terms`` on the number of summands p^e.
+    ``MAX_TERMS`` on the number of summands p^e.
     """
     p = Prime(p)
     if d < 3:
@@ -73,8 +73,8 @@ def lower_bound(p: int, d: int, e: int, *, max_terms: int = DEFAULT_MAX_TERMS) -
     if e < 2:
         raise ValueError("the bound applies for e >= 2")
     n = p**e
-    if n > max_terms:
-        raise GuardExceeded("lower-bound summation", n, max_terms)
+    if n > MAX_TERMS:
+        raise GuardExceeded("lower-bound summation", n, MAX_TERMS)
     dig = [0] * e
     binom = 1  # comb(d-3+i, i) at i = 0
     total = 0

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from .basep import Prime
-from .transfer import build_system
+from .transfer import _apply, _mul, build_system
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -130,46 +130,37 @@ def char_poly(matrix) -> CharPoly:
     coeffs[n] = 1
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        um = [
-            [sum(rows[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(um[i][i] for i in range(n))
+        m = _mul(rows, m)
+        tr = sum(m[i][i] for i in range(n))
         assert tr % k == 0, "trace recursion must divide exactly"
         c = -(tr // k)
         coeffs[n - k] = c
-        m = [[um[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            m[i][i] += c
     return CharPoly(tuple(coeffs))
 
 
 def _trim(rows: Matrix) -> Matrix:
     # deleting an index whose row (or column) is zero leaves the spectral
-    # radius unchanged; repeat until none remain
-    rows = [list(r) for r in rows]
-    changed = True
-    while changed and rows:
-        changed = False
-        n = len(rows)
-        for i in range(n):
-            if all(rows[i][j] == 0 for j in range(n)) or all(
-                rows[j][i] == 0 for j in range(n)
-            ):
-                del rows[i]
-                for r in rows:
-                    del r[i]
-                changed = True
-                break
-    return tuple(tuple(r) for r in rows)
+    # radius unchanged; deleting only removes entries, so a removable index
+    # stays removable and one filter, repeated to a fixpoint, finds them all
+    keep = range(len(rows))
+    while True:
+        kept = [i for i in keep
+                if any(rows[i][j] for j in keep) and any(rows[j][i] for j in keep)]
+        if len(kept) == len(keep):
+            return tuple(tuple(rows[i][j] for j in keep) for i in keep)
+        keep = kept
 
 
-def perron_interval(matrix, tol, *, max_iterations: int | None = None) -> SpectralEstimate:
+def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
     Zero rows/columns are trimmed first (they cannot carry the radius), so
     the iteration state stays strictly positive and every ratio is defined.
-    The default iteration cap scales with the dimension and the requested
-    precision; if it is hit, the best interval so far is returned with
-    ``converged=False``.
+    The iteration cap is fixed at 10 * (n + b) steps, n the trimmed
+    dimension and b the bit length of tol's denominator; if it is hit, the
+    best interval so far is returned with ``converged=False``.
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
@@ -178,36 +169,29 @@ def perron_interval(matrix, tol, *, max_iterations: int | None = None) -> Spectr
     rows = _trim(rows)
     n = len(rows)
     if n == 0:
-        return SpectralEstimate(Fraction(0), Fraction(0), iterations=0,
-                                converged=True, sign_change=None)
-    if max_iterations is None:
-        max_iterations = 10 * (n + tol.denominator.bit_length())
+        return SpectralEstimate(0, 0)
+    cap = 10 * (n + tol.denominator.bit_length())
 
     poly = char_poly(rows)
     x = [1] * n
     lo = Fraction(0)
-    hi: Fraction | None = None
+    hi = Fraction(max(map(sum, rows)))  # the first step's bound, as x is all ones
     it = 0
     converged = False
-    while it < max_iterations:
-        y = [sum(u * v for u, v in zip(row, x)) for row in rows]
+    while it < cap:
+        y = _apply(rows, x)
         ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
         lo = max(lo, min(ratios))
-        hi = min(hi, max(ratios)) if hi is not None else max(ratios)
+        hi = min(hi, max(ratios))
         it += 1
         if hi - lo <= tol:
             converged = True
             break
         g = gcd(*y)
         x = [v // g for v in y]
-    assert hi is not None
     sign_change = poly(lo - tol) < 0 < poly(hi + tol)
     return SpectralEstimate(lo, hi, iterations=it, converged=converged,
                             sign_change=sign_change)
-
-
-class _Straddle(Exception):
-    pass
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -222,9 +206,10 @@ def _floor_log2(x: Fraction) -> int:
     return k
 
 
-def _log2_bits(x: Fraction, k: int, m: int, bits: int) -> Fraction:
+def _log2_bits(x: Fraction, k: int, m: int, bits: int) -> Fraction | None:
     # binary digits of log2(x) - k where x / 2^k is in [1, 2), to m places,
-    # tracked in fixed point at scale 2^bits with outward rounding
+    # tracked in fixed point at scale 2^bits with outward rounding; None if
+    # the two tracks straddle a digit, so more bits are needed
     num, den = x.numerator, x.denominator
     sden = den << k
     ylo = (num << bits) // sden
@@ -238,10 +223,8 @@ def _log2_bits(x: Fraction, k: int, m: int, bits: int) -> Fraction:
             ylo >>= 1
             yhi = -((-yhi) >> 1)
             acc |= 1 << (m - s)
-        elif yhi < two:
-            pass
-        else:
-            raise _Straddle
+        elif yhi >= two:
+            return None
     return Fraction(acc, 1 << m)
 
 
@@ -259,13 +242,9 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
         return -hi, -lo
     k = _floor_log2(x)
     bits = m + 16
-    while True:
-        try:
-            frac = _log2_bits(x, k, m, bits)
-        except _Straddle:
-            bits *= 2
-            continue
-        return k + frac, k + frac + Fraction(1, 1 << m)
+    while (frac := _log2_bits(x, k, m, bits)) is None:
+        bits *= 2
+    return k + frac, k + frac + Fraction(1, 1 << m)
 
 
 def log_interval(x, base: int, tol) -> tuple[Fraction, Fraction]:

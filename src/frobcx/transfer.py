@@ -17,7 +17,9 @@ c_{d,e} = 0 for d <= 2, e >= 2 (no positive interior carry is possible).
 One term costs O(log e) matrix products by binary powering of U, on
 integers that grow to about e * log2(rho) bits, rho the spectral radius.
 The whole sequence up to emax is one stepwise sweep of emax
-matrix-vector products, since every term has to be emitted.
+matrix-vector products, since every term has to be emitted.  The same two
+integer products, ``_apply`` and ``_mul``, also run the Perron steps and
+the characteristic polynomial in ``spectral``.
 """
 
 from __future__ import annotations
@@ -74,13 +76,13 @@ def build_system(p: int, d: int) -> TransferSystem:
     return TransferSystem(p, d, matrix, x0, weights)
 
 
-def _apply(matrix: tuple[tuple[int, ...], ...], x: Sequence[int]) -> list[int]:
+def _apply(matrix: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(u * v for u, v in zip(row, x)) for row in matrix]
 
 
-def _square(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    columns = tuple(zip(*matrix))
-    return tuple(tuple(_apply(columns, row)) for row in matrix)
+def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    columns = tuple(zip(*b))
+    return [_apply(columns, row) for row in a]
 
 
 def state(system: TransferSystem, e: int) -> tuple[int, ...]:
@@ -97,7 +99,7 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
             x = _apply(power, x)
         e >>= 1
         if e:  # skip the last square: nothing uses it, and it is the costliest
-            power = _square(power)
+            power = _mul(power, power)
     return tuple(x)
 
 

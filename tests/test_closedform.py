@@ -91,8 +91,11 @@ def test_lower_bound_below_counts():
 
 
 def test_lower_bound_guard_and_validation():
-    with pytest.raises(GuardExceeded):
-        lower_bound(2, 4, 5, max_terms=10)
+    # 2^24 summands trip the fixed 10^7 guard before any work
+    with pytest.raises(GuardExceeded) as info:
+        lower_bound(2, 4, 24)
+    assert info.value.needed == 2**24
+    assert info.value.limit == 10**7
     with pytest.raises(ValueError):
         lower_bound(2, 2, 3)
     with pytest.raises(ValueError):

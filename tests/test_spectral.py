@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobcx.spectral import (
     RationalInterval,
@@ -71,10 +71,54 @@ def test_perron_contains_golden_ratio_style_root():
 
 
 def test_perron_unconverged_interval_is_still_valid():
-    est = perron_interval([[6, 4], [1, 4]], Fraction(1, 10**12), max_iterations=3)
+    # a Jordan block converges only like 1/k, so the fixed cap of
+    # 10 * (n + bits of 10^12) = 420 steps stops it short of the width
+    est = perron_interval([[1, 1], [0, 1]], Fraction(1, 10**12))
     assert not est.converged
-    assert est.iterations == 3
-    assert (est.lo - 5) ** 2 <= 5 <= (est.hi - 5) ** 2
+    assert est.iterations == 10 * (2 + (10**12).bit_length()) == 420
+    assert est.lo <= 1 <= est.hi
+
+
+def square_matrices(entries):
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=80, deadline=None)  # mpmath.eig at n = 6 takes ~30 ms
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3])))
+@example([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
+def test_perron_contains_reference_radius(matrix):
+    # zero rows and columns, including those left only by earlier deletions
+    # (index 3 above, once 0 and 2 go), must all be trimmed, or a ratio gets
+    # a zero denominator
+    est = perron_interval(matrix, Fraction(1, 10**6))
+    eigenvalues = mpmath.eig(mpmath.matrix(matrix), left=False, right=False)
+    if len(matrix) == 1:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
+        eigenvalues = eigenvalues[0]
+    radius = max(abs(v) for v in eigenvalues)
+    # a defective eigenvalue is computed only to about eps^(1/n)
+    slack = mpmath.mpf("1e-6")
+    assert mpmath.mpf(est.lo.numerator) / est.lo.denominator <= radius + slack
+    assert mpmath.mpf(est.hi.numerator) / est.hi.denominator >= radius - slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(st.integers(min_value=-5, max_value=5)))
+def test_char_poly_satisfies_cayley_hamilton(matrix):
+    n = len(matrix)
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    value = [[0] * n for _ in range(n)]
+    for c in reversed(char_poly(matrix).coeffs):
+        value = mul(value, matrix)
+        for i in range(n):
+            value[i][i] += c
+    assert value == [[0] * n for _ in range(n)]
 
 
 def test_interval_validation():
