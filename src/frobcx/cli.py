@@ -9,6 +9,10 @@ segre       complexity report with closed-form expression where known
 verify      cross-check all engines and bounds over a grid
 twisted     demonstrations of the twisted operator algebra
 
+sequence --engine transfer (and auto, when it picks transfer) sweeps the
+counts as exact decimals, so that printing them takes time linear in their
+digits; the output is byte-identical to printing integer counts.
+
 Exit codes: 0 success, 1 usage or validation error, 2 iteration guard
 exceeded, 3 verification mismatch.
 
@@ -25,6 +29,7 @@ import json
 import os
 import random
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import comb
@@ -47,7 +52,7 @@ from .errors import GuardExceeded
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import frobenius_complexity, perron_interval  # noqa: F401
-from .transfer import ComplexityReport, TransferSystem, build_system, complexity_sequence
+from .transfer import ComplexityReport, TransferSystem, build_system, complexity_sequence, sweep
 from .twistedop import (
     TwistedOperator,
     bracket,
@@ -133,11 +138,17 @@ def _levels(p: Prime, d: int, emax: int, count) -> Iterator[int]:
     yield from map(count, range(2, emax + 1))
 
 
+# Exact decimal arithmetic: any rounding raises instead of printing a wrong
+# digit.  Transfer counts are swept as Decimals under it, because str of a
+# Decimal takes linear time and str of an int quadratic time in its digits.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
 # engine -> terms(p, d, emax, guard): the counts c_0..c_emax.  transfer
-# returns the report of its single sweep; the others yield level by level,
-# so verify reports each level before a guard can stop the next one.
+# returns the Decimals of its single sweep, exact under EXACT only; the
+# others yield ints level by level, so verify reports each level before a
+# guard can stop the next one.
 ENGINE_TERMS = {
-    "transfer": lambda p, d, emax, guard: complexity_sequence(p, d, emax),
+    "transfer": lambda p, d, emax, guard: sweep(p, d, emax, number=Decimal),
     "enumerate": lambda p, d, emax, guard: chain((0,), (
         count_basis_enumeration(p, d, e, max_compositions=guard)
         for e in range(1, emax + 1))),
@@ -171,10 +182,9 @@ def _sequence_report(args) -> ComplexityReport:
     carry_guard = _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)
     engine = _resolve_engine(args.engine, p, args.d, args.emax, comp_guard)
     guard = carry_guard if engine == "carry" else comp_guard
-    terms = ENGINE_TERMS[engine](p, args.d, args.emax, guard)
-    if isinstance(terms, ComplexityReport):
-        return terms
-    return ComplexityReport(p, args.d, engine, tuple(terms))
+    with localcontext(EXACT):  # k_e is summed from the counts, so inside too
+        terms = ENGINE_TERMS[engine](p, args.d, args.emax, guard)
+        return ComplexityReport(p, args.d, engine, tuple(terms))
 
 
 def _cmd_sequence(args) -> int:

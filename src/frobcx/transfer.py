@@ -17,9 +17,13 @@ c_{d,e} = 0 for d <= 2, e >= 2 (no positive interior carry is possible).
 One term costs O(log e) matrix products by binary powering of U, on
 integers that grow to about e * log2(rho) bits, rho the spectral radius.
 The whole sequence up to emax is one stepwise sweep of emax
-matrix-vector products, since every term has to be emitted.  The same two
-integer products, ``_apply`` and ``_mul``, also run the Perron steps and
-the characteristic polynomial in ``spectral``.
+matrix-vector products, since every term has to be emitted.  The sweep
+runs on ints for library callers and on exact decimals for the CLI:
+CPython's int-to-str conversion takes time quadratic in the digit count,
+while a Decimal, stored in base-10^19 limbs, prints in linear time and to
+the same string.  The same two integer products, ``_apply`` and ``_mul``,
+also run the Perron steps and the characteristic polynomial in
+``spectral``.
 """
 
 from __future__ import annotations
@@ -144,13 +148,16 @@ class ComplexityReport:
         return len(self.c) - 1
 
 
-def complexity_sequence(
-    p: int, d: int, emax: int, system: TransferSystem | None = None
-) -> ComplexityReport:
-    """Counts for e = 0..emax via one incremental sweep of the recursion.
+def sweep(
+    p: int, d: int, emax: int, system: TransferSystem | None = None, number=int
+) -> list:
+    """The counts c_0..c_emax, by one incremental sweep of the recursion.
 
-    ``system`` replaces the one ``build_system(p, d)`` would assemble; it
-    must be for the same (p, d).
+    The sweep only adds and multiplies, so it runs in any number type that
+    ints mix with: ``number`` converts c_1 and x0, and every later count is
+    computed from those.  ``number=decimal.Decimal`` is exact only under a
+    context that cannot round.  ``system`` replaces the one
+    ``build_system(p, d)`` would assemble; it must be for the same (p, d).
     """
     p = Prime(p)
     if d < 1:
@@ -163,12 +170,23 @@ def complexity_sequence(
         )
     c = [0] * (emax + 1)
     if emax >= 1:
-        c[1] = comb(d + p - 2, p - 1)
+        c[1] = number(comb(d + p - 2, p - 1))
     if d >= 3 and emax >= 2:
         system = system or build_system(p, d)
-        x = list(system.x0)
+        x = [number(v) for v in system.x0]
         c[2] = sum(w * v for w, v in zip(system.weights, x))
         for e in range(3, emax + 1):
             x = _apply(system.matrix, x)
             c[e] = sum(w * v for w, v in zip(system.weights, x))
-    return ComplexityReport(p, d, "transfer", tuple(c))
+    return c
+
+
+def complexity_sequence(
+    p: int, d: int, emax: int, system: TransferSystem | None = None
+) -> ComplexityReport:
+    """Counts for e = 0..emax as ints, by ``sweep``.
+
+    ``system`` replaces the one ``build_system(p, d)`` would assemble; it
+    must be for the same (p, d).
+    """
+    return ComplexityReport(p, d, "transfer", tuple(sweep(p, d, emax, system)))

@@ -1,10 +1,12 @@
+import decimal
 import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from frobcx.cli import decimal_places, decimal_str, main, render_json
-from frobcx.transfer import complexity_term
+from frobcx.cli import EXACT, ENGINE_TERMS, decimal_places, decimal_str, main, render_json
+from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
 from fractions import Fraction
 
 
@@ -252,3 +254,62 @@ def test_main_restores_the_digit_limit(capsys):
                 assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(default)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=400),
+)
+@example(7, 9, 400)  # the largest counts, about 2,700 digits
+def test_decimal_sweep_prints_the_int_sweep_digit_for_digit(p, d, emax):
+    ints = complexity_sequence(p, d, emax)
+    with decimal.localcontext(EXACT):
+        decimals = ComplexityReport(p, d, "transfer",
+                                    tuple(ENGINE_TERMS["transfer"](p, d, emax, None)))
+    assert [str(v) for v in decimals.c] == [str(v) for v in ints.c]
+    assert [str(v) for v in decimals.k] == [str(v) for v in ints.k]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_transfer_output_past_the_digit_limit_matches_int_rows(capsys, monkeypatch, fmt):
+    argv = ("sequence", "--p", "11", "--d", "10", "--emax", "460", "--engine", "transfer",
+            "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    # the same rows rendered by the same code from complexity_sequence's ints
+    monkeypatch.setitem(ENGINE_TERMS, "transfer",
+                        lambda p, d, emax, guard: complexity_sequence(p, d, emax).c)
+    assert run(capsys, *argv) == (0, out, "")
+    assert max(map(len, out.replace(",", " ").split())) > 4300
+
+
+def test_exact_context_traps_rounding():
+    assert EXACT.prec == decimal.MAX_PREC
+    narrow = EXACT.copy()
+    narrow.prec = 50  # c_e for (2, 4) passes 50 digits near e = 60
+    with decimal.localcontext(narrow):
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            sweep(2, 4, 200, number=decimal.Decimal)
+    with decimal.localcontext(EXACT):
+        assert sweep(2, 4, 200, number=decimal.Decimal) == sweep(2, 4, 200)
+
+
+def test_main_restores_the_decimal_context(capsys):
+    default = decimal.getcontext()
+    runs = [(("sequence", "--p", "2", "--d", "4", "--emax", "30", "--engine", "transfer"), 0),
+            (("sequence", "--p", "4", "--d", "4", "--emax", "3"), 1),
+            (("sequence", "--p", "2", "--d", "2", "--emax", "3", "--engine", "carry"), 1),
+            (("sequence", "--p", "2", "--d", "6", "--emax", "8", "--engine", "enumerate",
+              "--max-compositions", "1000"), 2)]
+    try:
+        for context in (default, decimal.Context(prec=7, traps=[decimal.Inexact])):
+            decimal.setcontext(context)
+            settings_before = repr(context)
+            for argv, expected in runs:
+                assert run(capsys, *argv)[0] == expected
+                assert decimal.getcontext() is context
+                assert repr(context) == settings_before
+    finally:
+        decimal.setcontext(default)

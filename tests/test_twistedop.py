@@ -64,6 +64,8 @@ def test_operator_rejects_entries_from_different_rings():
     a, b = ring24().one(), QuotientRing(2, 5).one()
     with pytest.raises(ValueError):
         TwistedOperator(((a, a), (a, b)), 0)
+    # an equal ring built separately is the same ring, though not the same object
+    assert TwistedOperator(((a, a), (a, ring24().one())), 0).ring == a.ring
 
 
 def test_mixed_ring_arithmetic_rejected():
