@@ -21,9 +21,8 @@ matrix-vector products, since every term has to be emitted.  The sweep
 runs on ints for library callers and on exact decimals for the CLI:
 CPython's int-to-str conversion takes time quadratic in the digit count,
 while a Decimal, stored in base-10^19 limbs, prints in linear time and to
-the same string.  The same two integer products, ``_apply`` and ``_mul``,
-also run the Perron steps and the characteristic polynomial in
-``spectral``.
+the same string.  The same product ``_apply`` also runs the power steps
+and the characteristic polynomial in ``spectral``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import decimal
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -313,3 +316,20 @@ def test_main_restores_the_decimal_context(capsys):
                 assert repr(context) == settings_before
     finally:
         decimal.setcontext(default)
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 3 MB of output, far more than a pipe buffers, so the writer is
+    # still printing when the reader goes away after one line
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frobcx", "sequence", "--p", "2", "--d", "4", "--emax", "2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# p=2 d=4")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no message

@@ -2,9 +2,13 @@
 
 ``data/cli_golden.json`` holds one record per command of the grid below,
 captured from the code before the CLI was rewired onto the library's
-sequence, complexity and engine code.  Every record must still match byte
-for byte.  Run ``python tests/test_cli_golden.py`` to rewrite the file from
-the current code, which is only right when an output change is intended.
+sequence, complexity and engine code.  The changed ``complexity`` and
+``segre`` records were captured again when the radius enclosure moved to
+shifted inverse iteration, which prints other endpoints and iteration
+counts; a second test checks every printed interval against mpmath.
+Every record must still match byte for byte.  Run ``python
+tests/test_cli_golden.py`` to rewrite the file from the current code,
+which is only right when an output change is intended.
 
 The grid: ``mdpoly`` in both formats; ``sequence`` for every engine on
 small cells, each cell in one of the three formats in turn, leaving out
@@ -20,11 +24,16 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from frobcx.cli import AUTO_ENUMERATE_LIMIT, main
+import mpmath
+
+from frobcx.cli import AUTO_ENUMERATE_LIMIT, decimal_places, main
 from frobcx.enumeration import composition_count
+from frobcx.transfer import build_system
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 ENV_NAMES = ("FROBCX_MAX_COMPOSITIONS", "FROBCX_MAX_CARRYVECTORS")
@@ -142,6 +151,44 @@ def test_cli_output_matches_golden():
     mismatched = [r["argv"] for r in records
                   if run(r["argv"], r["env"]) != (r["code"], r["stdout"], r["stderr"])]
     assert mismatched == []
+
+
+def _printed_intervals(fmt, out):
+    """{"rho" or "cxf": (lo, hi)} as printed, decimal strings."""
+    if fmt == "json":
+        payload = json.loads(out)
+        return {key: (payload[f"{key}_lo"], payload[f"{key}_hi"])
+                for key in ("rho", "cxf") if f"{key}_lo" in payload}
+    found = re.findall(r"^(growth rate|complexity) +in \[(\S+), (\S+)\]", out, re.M)
+    assert len(found) == 2, out
+    return {"rho" if label == "growth rate" else "cxf": (lo, hi) for label, lo, hi in found}
+
+
+def test_printed_intervals_contain_the_radius_and_meet_their_width():
+    # every complexity and segre record: each printed interval holds rho, or
+    # log_p(rho), computed by mpmath's eigenvalues at twice the printed
+    # digits, and is no wider than tol plus the outward rounding to them
+    checked = 0
+    for r in json.loads(DATA.read_text()):
+        if r["argv"][0] not in ("complexity", "segre") or r["code"] != 0:
+            continue
+        args = dict(zip(r["argv"][1::2], r["argv"][2::2]))
+        p, d, tol = int(args["--p"]), int(args["--d"]), Fraction(args["--tol"])
+        places = decimal_places(tol)
+        with mpmath.workdps(2 * places + 10):
+            matrix = mpmath.matrix([list(row) for row in build_system(p, d).matrix])
+            eigenvalues = mpmath.eig(matrix, left=False, right=False)
+            if d == 3:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
+                eigenvalues = eigenvalues[0]
+            rho = max(abs(v) for v in eigenvalues)
+            reference = {"rho": rho, "cxf": mpmath.log(rho) / mpmath.log(p)}
+            for key, (lo, hi) in _printed_intervals(args["--format"], r["stdout"]).items():
+                assert len(lo.partition(".")[2]) == places == len(hi.partition(".")[2])
+                assert Fraction(hi) - Fraction(lo) <= tol + Fraction(2, 10**places), r["argv"]
+                assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
+                checked += 1
+    # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in json
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from frobcx.spectral import (
     log_interval,
     log_of_interval,
     perron_interval,
+    _trim,
 )
 from frobcx.transfer import build_system
 
@@ -71,12 +72,22 @@ def test_perron_contains_golden_ratio_style_root():
 
 
 def test_perron_unconverged_interval_is_still_valid():
-    # a Jordan block converges only like 1/k, so the fixed cap of
-    # 10 * (n + bits of 10^12) = 420 steps stops it short of the width
-    est = perron_interval([[1, 1], [0, 1]], Fraction(1, 10**12))
+    # the Perron vector (1, 0) of this reducible matrix has a zero entry, so
+    # every positive x has ratio 1 in its second entry and the lower bound
+    # never passes 1: the cap of 5n + 16 + (bits of ceil(1/tol)) = 66 steps
+    # stops it, and the interval it returns still holds the radius
+    est = perron_interval([[2, 1], [0, 1]], Fraction(1, 10**12))
     assert not est.converged
-    assert est.iterations == 10 * (2 + (10**12).bit_length()) == 420
-    assert est.lo <= 1 <= est.hi
+    assert est.iterations == 5 * 2 + 16 + (10**12).bit_length() == 66
+    assert est.lo <= 2 <= est.hi
+
+
+def test_perron_converges_on_a_periodic_matrix():
+    # power steps alternate between two vectors here and never tighten;
+    # the shifted inverse steps converge to sqrt(2)
+    est = perron_interval([[0, 2], [1, 0]], "1e-6")
+    assert est.converged and est.width <= Fraction(1, 10**6)
+    assert est.lo**2 <= 2 <= est.hi**2
 
 
 def square_matrices(entries):
@@ -189,6 +200,56 @@ def test_frobenius_complexity_d3_is_certified():
         assert out.lo <= hi and lo <= out.hi
         # the radius enclosure it came from is exact for a 1x1 matrix
         assert (out.radius.lo, out.radius.hi) == (rate, rate)
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-9", "1/7", "10", "1e-100"])
+def test_frobenius_complexity_meets_its_width(tol):
+    # the radius tolerance is fixed in advance, and the one perron_interval
+    # call must meet both widths; the pairs are the golden grid's, and
+    # three wider transfer matrices
+    tol = Fraction(tol)
+    for p, d in [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (2, 5), (5, 5), (2, 8),
+                 (3, 12), (7, 9), (2, 24)]:
+        out = frobenius_complexity(p, d, tol)
+        assert out.radius.converged, (p, d)
+        assert out.width <= tol and out.radius.width <= tol, (p, d)
+        assert out.radius.lo <= out.radius.hi
+
+
+def _strongly_connected(matrix) -> bool:
+    # index 0 reaches every index along nonzero entries, and every index
+    # reaches index 0
+    n = len(matrix)
+    for edges in (matrix, tuple(zip(*matrix))):
+        seen, stack = {0}, [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if edges[i][j] and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) < n:
+            return False
+    return True
+
+
+def test_growth_rate_is_the_spectral_radius():
+    # c_e = w . U^(e-2) x0 for e >= 2.  An irreducible U with a positive
+    # diagonal is primitive, so U^k / rho^k tends to v u^T with positive
+    # Perron vectors v and u, u . v = 1; nonnegative, nonzero w and x0 give
+    # c_e ~ (w . v)(u . x0) rho^(e-2), both factors positive, and so
+    # c_e^(1/e) -> rho.  Trimming removes nothing, so perron_interval
+    # encloses the radius of this same U.
+    assert not _strongly_connected(((1, 1), (0, 1)))
+    for p in (2, 3, 5, 7, 11):
+        for d in range(3, 30):
+            system = build_system(p, d)
+            u = system.matrix
+            assert _trim(u) == u, (p, d)
+            assert all(u[i][i] > 0 for i in range(len(u))), (p, d)
+            assert _strongly_connected(u), (p, d)
+            for vector in (system.x0, system.weights):
+                assert min(vector) >= 0 and any(vector), (p, d)
 
 
 def test_frobenius_complexity_rejects_small_d():
