@@ -52,7 +52,7 @@ from .errors import GuardExceeded
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import frobenius_complexity, perron_interval  # noqa: F401
-from .transfer import ComplexityReport, TransferSystem, build_system, complexity_sequence, sweep
+from .transfer import ComplexityReport, TransferSystem, build_system, sweep
 from .twistedop import (
     TwistedOperator,
     bracket,
@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
             system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None
             streams = {
                 "enumerate": ENGINE_TERMS["enumerate"](p, d, emax, guard),
-                "transfer": complexity_sequence(p, d, emax, system).c,
+                "transfer": sweep(p, d, emax, system),
             }
             if d >= 3:
                 streams["carry"] = ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS)

@@ -10,13 +10,15 @@ Fraction that provably brackets the target.
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
 
-* ``log_interval`` brackets log_base(x) for rational x by the schoolbook
+* ``log2_interval`` brackets log2(x) for rational x by the schoolbook
   digit-by-digit method: repeatedly square the mantissa in fixed-point
   integer arithmetic, rounding the lower track down and the upper track
   up, and emit one bit of the logarithm per squaring.  If outward rounding
   ever leaves the two tracks straddling the decision boundary, the whole
   computation restarts with doubled precision, so the emitted bits are
-  always certain.
+  always certain.  ``log_of_interval`` maps [lo, hi] to base b with one
+  ``log2_interval`` call each for lo, hi and b, at a precision fixed in
+  advance from tol and the sizes of lo and hi.
 
 The growth rate of the counts is this spectral radius, as the transfer
 matrix is primitive and its seed and weights nonnegative and nonzero:
@@ -35,10 +37,10 @@ from .transfer import _apply, build_system
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _as_fraction(value, name: str = "tol") -> Fraction:
+def _as_fraction(value) -> Fraction:
     out = Fraction(value)
     if out <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError("tol must be positive")
     return out
 
 
@@ -245,10 +247,9 @@ def _log2_bits(x: Fraction, k: int, m: int, bits: int) -> Fraction | None:
     # binary digits of log2(x) - k where x / 2^k is in [1, 2), to m places,
     # tracked in fixed point at scale 2^bits with outward rounding; None if
     # the two tracks straddle a digit, so more bits are needed
-    num, den = x.numerator, x.denominator
-    sden = den << k
-    ylo = (num << bits) // sden
-    yhi = -((-(num << bits)) // sden)
+    num, den = x.numerator << max(0, -k), x.denominator << max(0, k)
+    ylo = (num << bits) // den
+    yhi = -((-(num << bits)) // den)
     two = 2 << bits
     acc = 0
     for s in range(1, m + 1):
@@ -272,9 +273,6 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
         raise ValueError("m must be >= 1")
     if x == 1:
         return Fraction(0), Fraction(0)
-    if x < 1:
-        lo, hi = log2_interval(1 / x, m)
-        return -hi, -lo
     k = _floor_log2(x)
     bits = m + 16
     while (frac := _log2_bits(x, k, m, bits)) is None:
@@ -282,36 +280,35 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
     return k + frac, k + frac + Fraction(1, 1 << m)
 
 
-def log_interval(x, base: int, tol) -> tuple[Fraction, Fraction]:
-    """An interval of width <= tol certified to contain log_base(x)."""
-    x = Fraction(x)
-    tol = _as_fraction(tol)
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    inv = -((-tol.denominator) // tol.numerator)  # ceil(1/tol)
-    m = inv.bit_length()
-    if base == 2:
-        return log2_interval(x, m)
-    m += 8
-    while True:
-        alo, ahi = log2_interval(x, m)
-        blo, bhi = log2_interval(Fraction(base), m)
-        lo = alo / bhi if alo >= 0 else alo / blo
-        hi = ahi / blo if ahi >= 0 else ahi / bhi
-        if hi - lo <= tol:
-            return lo, hi
-        m += 8
-
-
 def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
-    """Outward log_base image of [lo, hi]: certified container of the image."""
+    """Outward log_base image of [lo, hi], each end within tol of its log.
+
+    Each logarithm is taken once, at a precision m fixed in advance.  Base 2:
+    m = bits(ceil(1/tol)), and log2_interval's width is 2^-m < tol.  Else m
+    = bits(ceil(1/tol)) + max(8, bits(K + 3)), K the larger |floor(log2)| of
+    lo and hi, so e = 2^-m < tol / (K + 3).  With log2 b in [B, B + e], B >= 1
+    as b >= 2, and log2 x in [A, A + e], k = floor(log2 x) <= A < k + 1, the
+    outward quotient for an end x is [A / (B + e), (A + e) / B] if A >= 0, of
+    width e (A + B + e) / (B (B + e)) <= e (A + 1); [A / B, (A + e) / (B + e)]
+    if A + e <= 0, of width e (B - A) / (B (B + e)) <= e (1 - A); else [A / B,
+    (A + e) / B], of width e / B.  It holds log_b x, and its width is below
+    e (|k| + 2) < tol.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("interval endpoints out of order")
     tol = _as_fraction(tol)
-    return RationalInterval(
-        log_interval(lo, base, tol)[0], log_interval(hi, base, tol)[1]
-    )
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    m = (-((-tol.denominator) // tol.numerator)).bit_length()  # bits(ceil(1/tol))
+    if base == 2:
+        return RationalInterval(log2_interval(lo, m)[0], log2_interval(hi, m)[1])
+    k = max(abs(_floor_log2(lo)), abs(_floor_log2(hi)))
+    m += max(8, (k + 3).bit_length())
+    alo, ahi = log2_interval(lo, m)[0], log2_interval(hi, m)[1]
+    blo, bhi = log2_interval(Fraction(base), m)
+    return RationalInterval(alo / bhi if alo >= 0 else alo / blo,
+                            ahi / blo if ahi >= 0 else ahi / bhi)
 
 
 @dataclass(frozen=True)

@@ -180,12 +180,6 @@ def sweep(
     return c
 
 
-def complexity_sequence(
-    p: int, d: int, emax: int, system: TransferSystem | None = None
-) -> ComplexityReport:
-    """Counts for e = 0..emax as ints, by ``sweep``.
-
-    ``system`` replaces the one ``build_system(p, d)`` would assemble; it
-    must be for the same (p, d).
-    """
-    return ComplexityReport(p, d, "transfer", tuple(sweep(p, d, emax, system)))
+def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:
+    """Counts for e = 0..emax as ints, by ``sweep``."""
+    return ComplexityReport(p, d, "transfer", tuple(sweep(p, d, emax)))

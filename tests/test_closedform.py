@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -83,6 +84,16 @@ def test_lower_bound_equals_count_at_d3():
     for p in (2, 3, 5):
         for e in (2, 3, 4):
             assert lower_bound(p, 3, e) == closed_form_d3(p, e)
+
+
+def test_lower_bound_is_the_xi_weight_sum():
+    # the odometer against the sum it evaluates, one weight at a time
+    cells = [(p, d, e) for p in (2, 3, 5) for d in range(3, 8) for e in range(2, 5)
+             if p**e <= 200]
+    assert len(cells) == 40
+    for p, d, e in cells:
+        expected = sum(xi_weight(p, e, i) * comb(d - 3 + i, i) for i in range(p**e))
+        assert lower_bound(p, d, e) == expected, (p, d, e)
 
 
 def test_lower_bound_below_counts():

@@ -9,7 +9,6 @@ from frobcx.spectral import (
     char_poly,
     frobenius_complexity,
     log2_interval,
-    log_interval,
     log_of_interval,
     perron_interval,
     _trim,
@@ -159,11 +158,19 @@ def test_log2_interval_frozen():
     st.integers(min_value=1, max_value=10**9),
     st.integers(min_value=1, max_value=10**9),
     st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=-1100, max_value=1100),
 )
-def test_log_interval_contains_oracle(num, den, base):
-    x = Fraction(num, den)
+# |floor(log2 x)| past 252 takes the wide branch of the precision rule; the
+# width is about 2^-m |log2 x| / log2(base)^2, so eight extra bits of m stop
+# meeting tol near |log2 x| = 650 for base 3
+@example(3, 1, 3, 1100)
+@example(10**9 - 7, 3, 7, -1100)
+@example(1, 1, 5, -300)
+def test_log_interval_contains_oracle(num, den, base, shift):
+    x = Fraction(num, den) * Fraction(2) ** shift
     tol = Fraction(1, 10**9)
-    lo, hi = log_interval(x, base, tol)
+    box = log_of_interval(x, x, base, tol)
+    lo, hi = box.lo, box.hi
     assert hi - lo <= tol
     target = oracle_log(x, base)
     # the oracle carries 50 digits; its error is far below the gap check
@@ -173,11 +180,11 @@ def test_log_interval_contains_oracle(num, den, base):
 
 def test_log_interval_validates():
     with pytest.raises(ValueError):
-        log_interval(Fraction(-1), 2, "1e-6")
+        log_of_interval(Fraction(-1), Fraction(-1), 2, "1e-6")
     with pytest.raises(ValueError):
-        log_interval(Fraction(3), 1, "1e-6")
+        log_of_interval(Fraction(3), Fraction(3), 1, "1e-6")
     with pytest.raises(ValueError):
-        log_interval(Fraction(3), 2, "-1e-6")
+        log_of_interval(Fraction(3), Fraction(3), 2, "-1e-6")
 
 
 def test_log_of_interval_outward():
@@ -196,7 +203,8 @@ def test_frobenius_complexity_d3_is_certified():
         out = frobenius_complexity(p, 3, Fraction(1, 10**9))
         assert out.width <= Fraction(1, 10**9)
         rate = Fraction(p * (p + 1), 2)
-        lo, hi = log_interval(rate, p, Fraction(1, 10**12))
+        box = log_of_interval(rate, rate, p, Fraction(1, 10**12))
+        lo, hi = box.lo, box.hi
         assert out.lo <= hi and lo <= out.hi
         # the radius enclosure it came from is exact for a 1x1 matrix
         assert (out.radius.lo, out.radius.hi) == (rate, rate)

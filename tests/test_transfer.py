@@ -10,6 +10,7 @@ from frobcx.transfer import (
     complexity_sequence,
     complexity_term,
     state,
+    sweep,
 )
 
 # e = 0, 1 and 2^k - 1, 2^k, 2^k + 1: the bit patterns where powering can slip
@@ -129,14 +130,14 @@ def test_sequence_agrees_with_term_calls():
 
 def test_sequence_runs_a_given_system():
     system = build_system(2, 4)
-    assert complexity_sequence(2, 4, 8, system) == complexity_sequence(2, 4, 8)
+    assert sweep(2, 4, 8, system) == list(complexity_sequence(2, 4, 8).c)
     bumped = TransferSystem(2, 4, ((7, 4), (1, 4)), system.x0, system.weights)
-    c = complexity_sequence(2, 4, 4, bumped).c
-    assert c[:3] == (0, 4, 4) and c[3] == 28  # U x0 = (28, 4) weighs in at e=3
+    c = sweep(2, 4, 4, bumped)
+    assert c[:3] == [0, 4, 4] and c[3] == 28  # U x0 = (28, 4) weighs in at e=3
     with pytest.raises(ValueError):
-        complexity_sequence(2, 5, 4, system)
+        sweep(2, 5, 4, system)
     with pytest.raises(ValueError):
-        complexity_sequence(3, 4, 4, system)
+        sweep(3, 4, 4, system)
 
 
 def test_report_validation():
