@@ -6,7 +6,8 @@
 2. carry vectors: sum products of digit-count table entries over all
    possible interior carry vectors.  Cost (d-2)^(e-1).
 3. transfer: evolve a census vector by a fixed (d-2)x(d-2) integer matrix.
-   One term takes O(log e) matrix products, by binary powering.
+   A far term takes O(log e) polynomial products modulo the matrix's
+   characteristic polynomial (Fiduccia); small ones, binary powering.
 
 They must agree to the last digit, and do.
 """

@@ -12,7 +12,7 @@ from .closedform import closed_form_d3, complexity_d3, known_complexity_expressi
 from .enumeration import count_basis_carryvectors, count_basis_enumeration, is_basis_monomial
 from .errors import GuardExceeded
 from .poincare import build_table
-from .spectral import char_poly, frobenius_complexity, perron_interval
+from .spectral import CharPoly, char_poly, frobenius_complexity, perron_interval
 from .transfer import build_system, complexity_sequence, complexity_term, state
 from .twistedop import (
     QuotientRing,
@@ -27,9 +27,11 @@ from .twistedop import (
 
 __version__ = "0.1.0"
 
-# the names the README and the demos use, plus Prime and GuardExceeded;
+# the names the README and the demos use, plus Prime, GuardExceeded and the
+# CharPoly that char_poly returns;
 # everything else is imported from its module
 __all__ = [
+    "CharPoly",
     "ExponentVector",
     "GuardExceeded",
     "Prime",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Iterator
 
 from .basep import ExponentVector, Prime
 from .errors import GuardExceeded
@@ -46,30 +45,6 @@ def composition_count(total: int, parts: int) -> int:
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
     return comb(total + parts - 1, parts - 1)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield every composition of ``total`` into ``parts`` nonnegative parts.
-
-    Colexicographic order, generated by an in-place successor: move one
-    unit from the leftmost positive entry rightward and dump its remainder
-    back into the first slot.  No recursion, O(parts) memory.
-    """
-    if total < 0 or parts < 1:
-        raise ValueError("need total >= 0 and parts >= 1")
-    a = [0] * parts
-    a[0] = total
-    while True:
-        yield tuple(a)
-        j = 0
-        while j < parts - 1 and a[j] == 0:
-            j += 1
-        if j == parts - 1:
-            return
-        v = a[j]
-        a[j] = 0
-        a[0] = v - 1
-        a[j + 1] += 1
 
 
 def is_basis_monomial(v: ExponentVector) -> bool:

@@ -17,8 +17,12 @@ Fraction that provably brackets the target.
   ever leaves the two tracks straddling the decision boundary, the whole
   computation restarts with doubled precision, so the emitted bits are
   always certain.  ``log_of_interval`` maps [lo, hi] to base b with one
-  ``log2_interval`` call each for lo, hi and b, at a precision fixed in
-  advance from tol and the sizes of lo and hi.
+  ``log2_interval`` call each for lo, hi and b (a single one for both ends
+  when lo == hi), at a precision fixed in advance from tol and the sizes
+  of lo and hi.
+
+``char_poly`` and ``CharPoly`` are defined in ``transfer``, whose count
+recurrence needs them, and re-exported here.
 
 The growth rate of the counts is this spectral radius, as the transfer
 matrix is primitive and its seed and weights nonnegative and nonzero:
@@ -32,9 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basep import Prime
-from .transfer import _apply, build_system
-
-Matrix = tuple[tuple[int, ...], ...]
+from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
 
 
 def _as_fraction(value) -> Fraction:
@@ -80,66 +82,6 @@ class SpectralEstimate(RationalInterval):
     iterations: int = 0
     converged: bool = True
     sign_change: bool | None = None
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic integer polynomial; coeffs[k] multiplies x^k."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            term = "x" if k == 1 else f"x^{k}" if k else ""
-            mag = abs(c)
-            body = term if mag == 1 and k else f"{mag}{'*' + term if term else ''}"
-            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
-        return " ".join(parts) if parts else "0"
-
-
-def _validate_matrix(matrix) -> Matrix:
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return rows
-
-
-def char_poly(matrix) -> CharPoly:
-    """Characteristic polynomial det(xI - U), by Berkowitz (1984).
-
-    With U = [[a, r], [c, M]], det(xI - U) is det(xI - M) times the lower
-    triangular Toeplitz matrix with first column 1, -a, -rc, -rMc, -rM^2c,
-    ...: about n^4/4 integer products, and no division.
-    """
-    rows = _validate_matrix(matrix)
-    n = len(rows)
-    poly = [1]  # det(xI - M), highest power first, M the trailing block
-    for k in range(n - 1, -1, -1):
-        sub = [row[k + 1:] for row in rows[k + 1:]]
-        r = rows[k][k + 1:]
-        v = [row[k] for row in rows[k + 1:]]
-        col = [1, -rows[k][k]]
-        for _ in sub:
-            col.append(-sum(a * b for a, b in zip(r, v)))
-            v = _apply(sub, v)
-        poly = [sum(col[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
-                for i in range(len(col))]
-    return CharPoly(tuple(reversed(poly)))
 
 
 def _trim(rows: Matrix) -> Matrix:
@@ -301,11 +243,14 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
     if base < 2:
         raise ValueError("base must be >= 2")
     m = (-((-tol.denominator) // tol.numerator)).bit_length()  # bits(ceil(1/tol))
+    if base != 2:
+        k = max(abs(_floor_log2(lo)), abs(_floor_log2(hi)))
+        m += max(8, (k + 3).bit_length())
+    alo, ahi = log2_interval(lo, m)
+    if hi != lo:  # a point, such as every 1x1 radius, needs one logarithm
+        ahi = log2_interval(hi, m)[1]
     if base == 2:
-        return RationalInterval(log2_interval(lo, m)[0], log2_interval(hi, m)[1])
-    k = max(abs(_floor_log2(lo)), abs(_floor_log2(hi)))
-    m += max(8, (k + 3).bit_length())
-    alo, ahi = log2_interval(lo, m)[0], log2_interval(hi, m)[1]
+        return RationalInterval(alo, ahi)
     blo, bhi = log2_interval(Fraction(base), m)
     return RationalInterval(alo / bhi if alo >= 0 else alo / blo,
                             ahi / blo if ahi >= 0 else ahi / bhi)

@@ -14,15 +14,31 @@ with the two degenerate levels handled directly: c_{d,0} = 0, c_{d,1} =
 comb(d + p - 2, p - 1) (every monomial of degree p - 1 qualifies), and
 c_{d,e} = 0 for d <= 2, e >= 2 (no positive interior carry is possible).
 
-One term costs O(log e) matrix products by binary powering of U, on
-integers that grow to about e * log2(rho) bits, rho the spectral radius.
-The whole sequence up to emax is one stepwise sweep of emax
-matrix-vector products, since every term has to be emitted.  The sweep
-runs on ints for library callers and on exact decimals for the CLI:
-CPython's int-to-str conversion takes time quadratic in the digit count,
-while a Decimal, stored in base-10^19 limbs, prints in linear time and to
-the same string.  The same product ``_apply`` also runs the power steps
-and the characteristic polynomial in ``spectral``.
+By Cayley-Hamilton the counts also obey the order-n recurrence of the
+characteristic polynomial chi = t^n + sum_k a_k t^k of U, n = d - 2:
+
+    c_{e+n} = -sum_k a_k c_{e+k},       e >= 2,
+
+so every count is a fixed combination of c_2..c_{n+1}, which the matrix
+gives.  ``sweep`` emits the whole sequence with n products per term where
+the matrix takes n^2 + n.  ``complexity_term`` finds one far term by
+Fiduccia's method: t^(e-2) mod chi by square-and-multiply on polynomials
+of degree < n, so O(n^2) products per bit of e where powering U takes
+O(n^3).  ``char_poly`` costs about n^4/4 small products, so each path uses
+chi only where it pays.  The crossover rule: a sweep uses chi once emax >=
+n^2/4 + n + 8, and one term once e - 2 >= 64; below that they run the
+matrix, by stepwise products and by binary powering (``state``).  Both
+were measured for p <= 7, the sweep's on ints for n <= 30 (on Decimals
+chi pays a little earlier) and the term's for n <= 60, where it does not
+depend on n.  Counts grow to about e * log2(rho) bits, rho the spectral
+radius.
+
+The sweep runs on ints for library callers and on exact decimals for the
+CLI: CPython's int-to-str conversion takes time quadratic in the digit
+count, while a Decimal, stored in base-10^19 limbs, prints in linear time
+and to the same string.  ``char_poly`` lives here, next to the recurrence
+that needs it; ``spectral`` re-exports it, and its power steps use the same
+product ``_apply``.
 """
 
 from __future__ import annotations
@@ -35,6 +51,8 @@ from math import comb
 from .basep import Prime
 from .poincare import build_table
 
+Matrix = tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class TransferSystem:
@@ -42,7 +60,7 @@ class TransferSystem:
 
     p: Prime
     d: int
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: Matrix
     x0: tuple[int, ...]
     weights: tuple[int, ...]
 
@@ -106,8 +124,102 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
     return tuple(x)
 
 
+@dataclass(frozen=True)
+class CharPoly:
+    """Monic integer polynomial; coeffs[k] multiplies x^k."""
+
+    coeffs: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x):
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def __str__(self) -> str:
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            term = "x" if k == 1 else f"x^{k}" if k else ""
+            mag = abs(c)
+            body = term if mag == 1 and k else f"{mag}{'*' + term if term else ''}"
+            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
+        return " ".join(parts) if parts else "0"
+
+
+def _validate_matrix(matrix) -> Matrix:
+    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return rows
+
+
+def char_poly(matrix) -> CharPoly:
+    """Characteristic polynomial det(xI - U), by Berkowitz (1984).
+
+    With U = [[a, r], [c, M]], det(xI - U) is det(xI - M) times the lower
+    triangular Toeplitz matrix with first column 1, -a, -rc, -rMc, -rM^2c,
+    ...: about n^4/4 integer products, and no division.
+    """
+    rows = _validate_matrix(matrix)
+    n = len(rows)
+    poly = [1]  # det(xI - M), highest power first, M the trailing block
+    for k in range(n - 1, -1, -1):
+        sub = [row[k + 1:] for row in rows[k + 1:]]
+        r = rows[k][k + 1:]
+        v = [row[k] for row in rows[k + 1:]]
+        col = [1, -rows[k][k]]
+        for _ in sub:
+            col.append(-sum(a * b for a, b in zip(r, v)))
+            v = _apply(sub, v)
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+                for i in range(len(col))]
+    return CharPoly(tuple(reversed(poly)))
+
+
+def _recurrence(matrix: Matrix) -> list[tuple[int, int]]:
+    # the pairs (k, b), b != 0, with U^n = sum b U^k, n = dim U: the
+    # nonzero coefficients of t^n - chi, by Cayley-Hamilton
+    *low, _ = char_poly(matrix).coeffs
+    return [(k, -a) for k, a in enumerate(low) if a]
+
+
+def _power_of_t(j: int, recurrence: list[tuple[int, int]], n: int) -> list[int]:
+    # t^j mod chi, low coefficient first, by square-and-multiply from the top
+    # bit of j; t^n = sum b t^k reduces every degree >= n, the highest first
+    r = [1]
+    for bit in bin(j)[2:]:
+        m = len(r)
+        s = [0] * (2 * m - 1)
+        for i, u in enumerate(r):  # a symmetric square: m(m+1)/2 products
+            s[2 * i] += u * u
+            twice = u << 1
+            for k in range(i + 1, m):
+                s[i + k] += twice * r[k]
+        if bit == "1":
+            s.insert(0, 0)
+        for top in range(len(s) - 1, n - 1, -1):
+            q = s[top]
+            for k, b in recurrence:
+                s[top - n + k] += b * q
+        del s[n:]
+        r = s
+    return r
+
+
 def complexity_term(p: int, d: int, e: int) -> int:
-    """The generator count c_{d,e}, via the transfer recursion."""
+    """The generator count c_{d,e}, via the transfer recursion.
+
+    From e = 66 on, c_{d,e} = sum_k r_k c_{d,k+2} with r = t^(e-2) mod chi
+    (Fiduccia); below, w . U^(e-2) x0 by ``state``.
+    """
     p = Prime(p)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -120,8 +232,13 @@ def complexity_term(p: int, d: int, e: int) -> int:
     if d <= 2:
         return 0
     system = build_system(p, d)
-    x = state(system, e - 2)
-    return sum(w * v for w, v in zip(system.weights, x))
+    if e - 2 < 64:  # the crossover rule of the module docstring
+        x = state(system, e - 2)
+        return sum(w * v for w, v in zip(system.weights, x))
+    n = system.dim
+    first = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
+    r = _power_of_t(e - 2, _recurrence(system.matrix), n)
+    return sum(u * c for u, c in zip(r, first))
 
 
 @dataclass(frozen=True)
@@ -152,9 +269,12 @@ def sweep(
 ) -> list:
     """The counts c_0..c_emax, by one incremental sweep of the recursion.
 
-    The sweep only adds and multiplies, so it runs in any number type that
-    ints mix with: ``number`` converts c_1 and x0, and every later count is
-    computed from those.  ``number=decimal.Decimal`` is exact only under a
+    The matrix gives c_2..c_{n+1}, and the later counts too while emax is
+    below the crossover of the module docstring; above it chi's recurrence
+    gives them.  The sweep only adds and multiplies, so it runs in any
+    number type that ints mix with: ``number`` converts c_1, x0 and the
+    recurrence's coefficients, and every later count is computed from
+    those.  ``number=decimal.Decimal`` is exact only under a
     context that cannot round.  ``system`` replaces the one
     ``build_system(p, d)`` would assemble; it must be for the same (p, d).
     """
@@ -172,11 +292,18 @@ def sweep(
         c[1] = number(comb(d + p - 2, p - 1))
     if d >= 3 and emax >= 2:
         system = system or build_system(p, d)
+        n = system.dim
+        # the crossover rule of the module docstring
+        last = n + 1 if emax >= n * n // 4 + n + 8 else emax
         x = [number(v) for v in system.x0]
         c[2] = sum(w * v for w, v in zip(system.weights, x))
-        for e in range(3, emax + 1):
+        for e in range(3, last + 1):
             x = _apply(system.matrix, x)
             c[e] = sum(w * v for w, v in zip(system.weights, x))
+        if last < emax:
+            recurrence = [(k - n, number(b)) for k, b in _recurrence(system.matrix)]
+            for e in range(n + 2, emax + 1):
+                c[e] = sum(b * c[e + k] for k, b in recurrence)
     return c
 
 

@@ -1,10 +1,11 @@
+from collections.abc import Iterator
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobcx.basep import ExponentVector, carry_sequence
 from frobcx.enumeration import (
     composition_count,
-    compositions,
     count_basis_carryvectors,
     count_basis_enumeration,
     is_basis_monomial,
@@ -37,6 +38,32 @@ FROZEN_COUNTS = {
     (5, 4, 2): 1700,
     (5, 4, 3): 171500,
 }
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Yield every composition of ``total`` into ``parts`` nonnegative parts.
+
+    The brute-force reference that ``naive_count`` walks.
+
+    Colexicographic order, generated by an in-place successor: move one
+    unit from the leftmost positive entry rightward and dump its remainder
+    back into the first slot.  No recursion, O(parts) memory.
+    """
+    if total < 0 or parts < 1:
+        raise ValueError("need total >= 0 and parts >= 1")
+    a = [0] * parts
+    a[0] = total
+    while True:
+        yield tuple(a)
+        j = 0
+        while j < parts - 1 and a[j] == 0:
+            j += 1
+        if j == parts - 1:
+            return
+        v = a[j]
+        a[j] = 0
+        a[0] = v - 1
+        a[j + 1] += 1
 
 
 def naive_count(p, d, e):

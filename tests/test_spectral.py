@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobcx import spectral
 from frobcx.spectral import (
     RationalInterval,
     char_poly,
@@ -210,7 +211,23 @@ def test_frobenius_complexity_d3_is_certified():
         assert (out.radius.lo, out.radius.hi) == (rate, rate)
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "1e-9", "1/7", "10", "1e-100"])
+def test_point_radius_takes_one_logarithm_per_argument(monkeypatch):
+    # the d = 3 radius is a point: one log2 for both of its ends, plus one
+    # for the base unless the base is 2
+    calls = []
+
+    def counted(x, m):
+        calls.append(x)
+        return log2_interval(x, m)
+
+    monkeypatch.setattr(spectral, "log2_interval", counted)
+    for p, expected in [(2, [3]), (3, [6, 3])]:
+        calls.clear()
+        frobenius_complexity(p, 3, Fraction(1, 10**30))
+        assert calls == expected
+
+
+@pytest.mark.parametrize("tol",["1e-3", "1e-9", "1/7", "10", "1e-100"])
 def test_frobenius_complexity_meets_its_width(tol):
     # the radius tolerance is fixed in advance, and the one perron_interval
     # call must meet both widths; the pairs are the golden grid's, and

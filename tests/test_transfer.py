@@ -1,6 +1,10 @@
+from decimal import Decimal, localcontext
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobcx import cli
 from frobcx.enumeration import count_basis_enumeration
 from frobcx.transfer import (
     ComplexityReport,
@@ -88,6 +92,46 @@ def test_far_terms_match_a_modular_recursion():
         assert complexity_term(p, d, e) % q == _count_mod_by_steps(p, d, e, q)
     for p, d, e in [(2, 4, 300), (2, 6, 257), (3, 5, 129), (7, 9, 64)]:
         assert complexity_term(p, d, e) == complexity_sequence(p, d, 300).c[e]
+
+
+def _by_powering(system, e):
+    return sum(w * v for w, v in zip(system.weights, state(system, e - 2)))
+
+
+def test_far_terms_on_both_sides_of_the_crossover():
+    # one term runs chi's recurrence from e - 2 = 64 on, the matrix below
+    cases = [(p, d, e) for p, d in [(2, 3), (2, 4), (3, 5), (2, 6), (7, 9), (5, 14), (2, 30)]
+             for e in (2, 3, d, 64, 65, 66, 67)]
+    cases += [(2, 3, 4096), (2, 4, 4097), (3, 5, 4096), (2, 6, 1001), (7, 9, 1001)]
+    for p, d, e in cases:
+        assert complexity_term(p, d, e) == _by_powering(build_system(p, d), e), (p, d, e)
+
+
+# emax up to 60 puts d <= 14 on both sides of the sweep's crossover, emax
+# = n^2/4 + n + 8 with n = d - 2; the faulted system is the one ``verify
+# --inject-fault`` sweeps, and must keep the counts of its own matrix
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=3, max_value=14),
+    st.integers(min_value=0, max_value=60),
+    st.booleans(),
+)
+@example(2, 14, 55, False)
+@example(2, 14, 56, True)
+@example(7, 3, 9, False)
+@example(7, 3, 10, True)
+def test_sweep_equals_the_matrix_powers(p, d, emax, faulted):
+    system = build_system(p, d)
+    if faulted:
+        system = cli._faulted(system)
+    expected = [0, comb(d + p - 2, p - 1)] + [_by_powering(system, e) for e in range(2, emax + 1)]
+    assert sweep(p, d, emax, system) == expected[:emax + 1]
+    with localcontext(cli.EXACT):
+        decimals = sweep(p, d, emax, system, number=Decimal)
+    assert [str(c) for c in decimals] == [str(c) for c in expected[:emax + 1]]
+    if faulted and emax >= 3:
+        assert decimals[3] > complexity_term(p, d, 3)
 
 
 def test_complexity_term_frozen_values():
