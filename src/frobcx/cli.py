@@ -32,7 +32,6 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from itertools import chain
-from math import comb
 from typing import Iterator
 
 from .basep import Prime
@@ -132,9 +131,9 @@ def _guard_value(args, dest: str, default: int) -> int:
 # --- sequence engines -------------------------------------------------------
 
 def _levels(p: Prime, d: int, emax: int, count) -> Iterator[int]:
-    # c_0 = 0 and c_1 = comb(d + p - 2, p - 1); count(e) gives each level
-    # e >= 2 when the caller reaches it
-    yield from (0, comb(d + p - 2, p - 1))[: emax + 1]
+    # c_0 and c_1 from the sweep; count(e) gives each level e >= 2 when the
+    # caller reaches it
+    yield from sweep(p, d, min(emax, 1))
     yield from map(count, range(2, emax + 1))
 
 
@@ -207,7 +206,9 @@ def _cmd_sequence(args) -> int:
             print(f"{e},{ce},{ke}")
     else:
         print(f"# p={report.p} d={report.d} engine={report.engine}")
-        wc = max(len(str(report.c[-1])), 3)
+        # c_1 or c_emax is the widest count: from e = 2 on, counts are 0 for
+        # d <= 2 and never decrease for d >= 3, since U has a positive diagonal
+        wc = max(len(str(report.c[min(report.emax, 1)])), len(str(report.c[-1])), 3)
         wk = max(len(str(report.k[-1])), 3)
         print(f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}")
         for e, (ce, ke) in enumerate(zip(report.c, report.k)):

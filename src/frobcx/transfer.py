@@ -24,14 +24,15 @@ gives.  ``sweep`` emits the whole sequence with n products per term where
 the matrix takes n^2 + n.  ``complexity_term`` finds one far term by
 Fiduccia's method: t^(e-2) mod chi by square-and-multiply on polynomials
 of degree < n, so O(n^2) products per bit of e where powering U takes
-O(n^3).  ``char_poly`` costs about n^4/4 small products, so each path uses
-chi only where it pays.  The crossover rule: a sweep uses chi once emax >=
-n^2/4 + n + 8, and one term once e - 2 >= 64; below that they run the
-matrix, by stepwise products and by binary powering (``state``).  Both
-were measured for p <= 7, the sweep's on ints for n <= 30 (on Decimals
-chi pays a little earlier) and the term's for n <= 60, where it does not
-depend on n.  Counts grow to about e * log2(rho) bits, rho the spectral
-radius.
+O(n^3).  ``char_poly`` costs about n^4/4 small products, so chi is used
+only where it pays, by one crossover rule (``_chi_pays``): once the last
+level wanted is e >= n^2/4 + n + 8.  Below it a sweep runs the matrix
+throughout and one term is its last count; from it on a sweep turns to chi
+after c_{n+1}, and one term is Fiduccia's on those c_2..c_{n+1}.  Measured
+for p <= 7 on ints, n <= 30 (on Decimals chi pays a little earlier); one
+term's sweep/Fiduccia time ratio crosses 1 near the same line.  ``state``,
+binary powering of U, is only the reference the tests check both paths
+against.  Counts grow to about e * log2(rho) bits, rho the spectral radius.
 
 The sweep runs on ints for library callers and on exact decimals for the
 CLI: CPython's int-to-str conversion takes time quadratic in the digit
@@ -110,7 +111,8 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
     """The census vector U^e x0, by binary powering of U.
 
     Bits of e are read from the lowest: x takes a factor U^(2^k) for every
-    set bit k, which is sound because all powers of U commute.
+    set bit k, which is sound because all powers of U commute.  A reference
+    only: no count path calls it.
     """
     if e < 0:
         raise ValueError("e must be >= 0")
@@ -214,28 +216,23 @@ def _power_of_t(j: int, recurrence: list[tuple[int, int]], n: int) -> list[int]:
     return r
 
 
+def _chi_pays(n: int, e: int) -> bool:
+    # the crossover rule of the module docstring, for the counts up to c_e
+    return e >= n * n // 4 + n + 8
+
+
 def complexity_term(p: int, d: int, e: int) -> int:
     """The generator count c_{d,e}, via the transfer recursion.
 
-    From e = 66 on, c_{d,e} = sum_k r_k c_{d,k+2} with r = t^(e-2) mod chi
-    (Fiduccia); below, w . U^(e-2) x0 by ``state``.
+    Below the crossover rule, the last count of ``sweep(p, d, e)`` (to e <= 2
+    for d <= 2, whose later counts are 0); from it on, Fiduccia's method.
     """
-    p = Prime(p)
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if e < 0:
         raise ValueError("e must be >= 0")
-    if e == 0:
-        return 0
-    if e == 1:
-        return comb(d + p - 2, p - 1)
-    if d <= 2:
-        return 0
+    n = d - 2
+    if n < 1 or not _chi_pays(n, e):
+        return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
-    if e - 2 < 64:  # the crossover rule of the module docstring
-        x = state(system, e - 2)
-        return sum(w * v for w, v in zip(system.weights, x))
-    n = system.dim
     first = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
     r = _power_of_t(e - 2, _recurrence(system.matrix), n)
     return sum(u * c for u, c in zip(r, first))
@@ -293,8 +290,7 @@ def sweep(
     if d >= 3 and emax >= 2:
         system = system or build_system(p, d)
         n = system.dim
-        # the crossover rule of the module docstring
-        last = n + 1 if emax >= n * n // 4 + n + 8 else emax
+        last = n + 1 if _chi_pays(n, emax) else emax
         x = [number(v) for v in system.x0]
         c[2] = sum(w * v for w, v in zip(system.weights, x))
         for e in range(3, last + 1):

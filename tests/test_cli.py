@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,21 @@ def test_sequence_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["e,c_e,k_e", "0,0,0", "1,6,6", "2,9,15", "3,54,69"]
+
+
+@pytest.mark.parametrize("p, d, emax", [(1009, 2, 3), (3, 3, 3)])
+def test_sequence_table_rows_line_up_with_the_header(capsys, p, d, emax):
+    # (1009, 2, 3): c_1 = 1009 is the widest count, and c_emax = 0
+    code, out, _ = run(capsys, "sequence", "--p", str(p), "--d", str(d),
+                       "--emax", str(emax), "--format", "table")
+    assert code == 0
+    header, *rows = out.splitlines()[1:]
+
+    def column_ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)]
+
+    assert len(rows) == emax + 1
+    assert all(column_ends(row) == column_ends(header) for row in rows)
 
 
 def test_sequence_engines_agree(capsys):

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 from math import comb
 
@@ -98,13 +99,27 @@ def _by_powering(system, e):
     return sum(w * v for w, v in zip(system.weights, state(system, e - 2)))
 
 
+def crossover(d):
+    # the crossover rule: chi pays from e = n^2/4 + n + 8 on, n = d - 2
+    n = d - 2
+    return n * n // 4 + n + 8
+
+
 def test_far_terms_on_both_sides_of_the_crossover():
-    # one term runs chi's recurrence from e - 2 = 64 on, the matrix below
+    # one term is Fiduccia's from the crossover on and a sweep's below it
     cases = [(p, d, e) for p, d in [(2, 3), (2, 4), (3, 5), (2, 6), (7, 9), (5, 14), (2, 30)]
              for e in (2, 3, d, 64, 65, 66, 67)]
     cases += [(2, 3, 4096), (2, 4, 4097), (3, 5, 4096), (2, 6, 1001), (7, 9, 1001)]
     for p, d, e in cases:
         assert complexity_term(p, d, e) == _by_powering(build_system(p, d), e), (p, d, e)
+    # e = T - 1, T, T + 1 at the crossover T: one powering, then matrix steps
+    for d in range(3, 31):
+        p, t = (2, 3)[d % 2], crossover(d)
+        system = build_system(p, d)
+        x = state(system, t - 3)
+        for e in (t - 1, t, t + 1):
+            assert complexity_term(p, d, e) == sum(w * v for w, v in zip(system.weights, x)), (p, d, e)
+            x = _apply(system.matrix, x)
 
 
 # emax up to 60 puts d <= 14 on both sides of the sweep's crossover, emax
@@ -152,10 +167,23 @@ def test_complexity_term_degenerate_levels():
     assert complexity_term(2, 4, 1) == 4
     assert complexity_term(3, 4, 1) == 10
     assert complexity_term(5, 3, 1) == 15
-    # below three variables nothing survives past level 1
-    for e in (2, 3, 4):
+    # below three variables nothing survives past level 1, and no level
+    # past 2 is swept to find that out
+    for e in (2, 3, 4, 10**18):
         assert complexity_term(2, 2, e) == 0
         assert complexity_term(3, 1, e) == 0
+
+
+@pytest.mark.parametrize("p, d, e, message", [
+    (4, 5, 3, "4 is not prime (divisible by 2)"),
+    (2, 0, 3, "d must be >= 1"),
+    (2, 5, -1, "e must be >= 0"),
+    (4, 5, 100, "4 is not prime (divisible by 2)"),
+    (4, 2, 10**18, "4 is not prime (divisible by 2)"),
+])
+def test_complexity_term_refusals(p, d, e, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        complexity_term(p, d, e)
 
 
 def test_sequence_report_matches_terms():
