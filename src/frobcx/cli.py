@@ -31,6 +31,7 @@ import random
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Iterator
 
@@ -375,7 +376,16 @@ def _cmd_twisted_demo(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+@cache
 def build_parser() -> _Parser:
+    """The ``frobcx`` argument parser, built on the first call of a process.
+
+    Every later call, and so every ``main`` call, returns the same parser.
+    Sharing it carries no state from one parse to the next: no argument has
+    a mutable default; the ``--max-*`` guards default to None and their
+    ``FROBCX_MAX_*`` variables are read by ``_guard_value`` when the command
+    runs; and ``_Parser.error`` raises instead of recording anything.
+    """
     parser = _Parser(prog="frobcx", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

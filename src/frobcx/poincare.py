@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import sub
 
 from .basep import Prime
 
@@ -41,7 +43,12 @@ class PoincareTable:
 
 @cache
 def build_table(p: int, d: int) -> PoincareTable:
-    """Expand (1 + t + ... + t^{p-1})^d by repeated convolution.
+    """Expand (1 + t + ... + t^{p-1})^d one factor at a time.
+
+    Multiplying by 1 + t + ... + t^{p-1} turns each coefficient into the sum
+    of a window of p coefficients of the previous power, padded with p - 1
+    zeros at each end: the difference of two of its running prefix sums.
+    The table costs O(d^2 p) additions.
 
     Cached: the table for a given (p, d) is built once and shared by all
     downstream engines.
@@ -49,11 +56,8 @@ def build_table(p: int, d: int) -> PoincareTable:
     p = Prime(p)
     if d < 1:
         raise ValueError("d must be >= 1")
-    coeffs = [1] * p
+    coeffs, pad = [1] * p, [0] * (p - 1)
     for _ in range(d - 1):
-        out = [0] * (len(coeffs) + p - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(p):
-                out[i + j] += c
-        coeffs = out
+        pre = list(accumulate(pad + coeffs + pad, initial=0))
+        coeffs = list(map(sub, pre[p:], pre))
     return PoincareTable(p, d, tuple(coeffs))

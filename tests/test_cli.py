@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobcx.cli import EXACT, ENGINE_TERMS, decimal_places, decimal_str, main, render_json
+from frobcx.cli import (
+    EXACT, ENGINE_TERMS, build_parser, decimal_places, decimal_str, main, render_json,
+)
 from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
 from fractions import Fraction
 
@@ -186,6 +188,20 @@ def test_guard_env_var(capsys, monkeypatch):
     assert code == 1
 
 
+def test_guard_falls_back_when_the_flag_is_left_out(capsys, monkeypatch):
+    # flag, then environment variable, then default, on one shared parser
+    seq = ("sequence", "--p", "2", "--d", "4", "--emax", "3", "--engine", "enumerate")
+    monkeypatch.setenv("FROBCX_MAX_COMPOSITIONS", "50")
+    assert run(capsys, *seq, "--max-compositions", "5") == (2, "", (
+        "guard exceeded: enumeration of compositions: 20 iterations needed, guard is 5\n"))
+    assert run(capsys, *seq) == (2, "", (
+        "guard exceeded: enumeration of compositions: 120 iterations needed, guard is 50\n"))
+    monkeypatch.delenv("FROBCX_MAX_COMPOSITIONS")
+    code, out, err = run(capsys, *seq, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "3,24,32"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--quiet")
     assert code == 0
@@ -219,8 +235,15 @@ def test_twisted_demo_deep_twist_splits_by_squaring(capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "sequence", "--help")[0] == 0
+    for argv in (["--help"], ["sequence", "--help"]):
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        # the parser is shared between calls, so a second help prints the same
+        assert run(capsys, *argv) == first
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_decimal_rendering():

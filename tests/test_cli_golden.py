@@ -24,6 +24,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import sys
 from fractions import Fraction
@@ -145,12 +146,35 @@ def run(argv, env):
     return code, out.getvalue(), err.getvalue()
 
 
+def _mismatched(records):
+    """argv of each record whose run differs from it, running them in order."""
+    return [r["argv"] for r in records
+            if run(r["argv"], r["env"]) != (r["code"], r["stdout"], r["stderr"])]
+
+
 def test_cli_output_matches_golden():
     records = json.loads(DATA.read_text())
     assert [(r["argv"], r["env"]) for r in records] == grid()
-    mismatched = [r["argv"] for r in records
-                  if run(r["argv"], r["env"]) != (r["code"], r["stdout"], r["stderr"])]
-    assert mismatched == []
+    assert _mismatched(records) == []
+
+
+def test_cli_output_matches_golden_in_any_order():
+    # main shares one parser between calls, so no call may depend on the ones before
+    records = json.loads(DATA.read_text())
+    shuffled = records[:]
+    random.Random(13).shuffle(shuffled)
+    assert _mismatched(records[::-1]) == []
+    assert _mismatched(shuffled) == []
+
+
+def test_refused_parse_leaves_the_defaults():
+    # complexity's defaults are --tol 1e-9 --format json
+    argv = ["complexity", "--p", "2", "--d", "4"]
+    golden = next(r for r in json.loads(DATA.read_text())
+                  if r["argv"] == argv + ["--tol", "1e-9", "--format", "json"])
+    for refused in (["nonsense"], argv + ["--tol", "abc"], argv + ["--format", "csv"]):
+        assert run(refused, {})[0] == 1
+        assert run(argv, {}) == (golden["code"], golden["stdout"], golden["stderr"])
 
 
 def _printed_intervals(fmt, out):

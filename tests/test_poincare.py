@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,3 +55,30 @@ def test_row_sum_and_symmetry(p, d):
     assert all(table.coeff(m) == table.coeff(top - m) for m in range(top + 1))
     assert table.coeff(0) == table.coeff(top) == 1
     assert table.top_degree == top
+
+
+def convolution_table(p, d):
+    """Reference: (1 + t + ... + t^(p-1))^d by repeated convolution, O(d^2 p^2)."""
+    coeffs = [1] * p
+    for _ in range(d - 1):
+        out = [0] * (len(coeffs) + p - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(p):
+                out[i + j] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
+def test_prefix_sums_match_the_convolution():
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 14):
+            assert build_table(p, d).coeffs == convolution_table(p, d), (p, d)
+
+
+def test_large_prime_matches_inclusion_exclusion():
+    # M_d(m) = sum_j (-1)^j C(d, j) C(m - jp + d - 1, d - 1), terms with m < jp dropped
+    p, d = 1009, 5
+    table = build_table(p, d)
+    for m, c in enumerate(table.coeffs):
+        assert c == sum((-1) ** j * comb(d, j) * comb(m - j * p + d - 1, d - 1)
+                        for j in range(min(d, m // p) + 1)), m
