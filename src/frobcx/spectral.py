@@ -143,18 +143,29 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 
     poly = char_poly(rows)
     x = [1] * n
-    lo = Fraction(0)
-    hi = Fraction(max(map(sum, rows)))  # the first step's bound, as x is all ones
+    # lo, hi and each step's extreme ratios y_i / x_i are kept as integer
+    # pairs (numerator, positive denominator) and compared by cross products
+    ln, ld = 0, 1
+    hn, hd = max(map(sum, rows)), 1  # the first step's bound, as x is all ones
+    tn, td = tol.numerator, tol.denominator
     it = 0
     while it < cap:
         y = _apply(rows, x)
-        ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
-        lo = max(lo, min(ratios))
-        hi = min(hi, max(ratios))
+        an, ad = bn, bd = y[0], x[0]  # the least and the greatest ratio
+        for yi, xi in zip(y, x):
+            if yi * ad < an * xi:
+                an, ad = yi, xi
+            elif yi * bd > bn * xi:
+                bn, bd = yi, xi
+        if an * ld > ln * ad:
+            ln, ld = an, ad
+        if bn * hd < hn * bd:
+            hn, hd = bn, bd
         it += 1
-        if hi - lo <= tol:
+        width = hn * ld - ln * hd  # (hi - lo) hd ld
+        if width * td <= tn * hd * ld:
             break
-        if it < 4 * n + 16 and (hi - lo) * 256 > hi:
+        if it < 4 * n + 16 and width * 256 > hn * ld:
             shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
             x = [v >> shift for v in y]
             continue
@@ -162,12 +173,14 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
         # so the exact z is positive.  bits cover x's range, log2(hi / width)
         # for the solve and as many again (to tol) for the next width; a
         # failed solve is retried with twice the bits, at most four times
-        gap = _floor_log2(hi / (hi - lo)) + 1
+        gap = _floor_log2(Fraction(hn * ld, width)) + 1
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
-                + min(gap, max(0, _floor_log2(hi / tol) + 1)))
-        tries = (_shifted_solve(rows, 2 * hi - lo, x, bits << t) for t in range(5))
+                + min(gap, max(0, _floor_log2(Fraction(hn * td, hd * tn)) + 1)))
+        sigma = Fraction(hn * ld + width, hd * ld)
+        tries = (_shifted_solve(rows, sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
+    lo, hi = Fraction(ln, ld), Fraction(hn, hd)
     sign_change = poly(lo - tol) < 0 < poly(hi + tol)
     return SpectralEstimate(lo, hi, iterations=it, converged=hi - lo <= tol,
                             sign_change=sign_change)

@@ -1,16 +1,20 @@
+import contextlib
 import decimal
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcx.cli import (
-    EXACT, ENGINE_TERMS, build_parser, decimal_places, decimal_str, main, render_json,
+    EXACT, ENGINE_TERMS, _CHUNK, _sequence_lines, _sequence_report, _write_lines,
+    build_parser, decimal_places, decimal_str, main, render_json,
 )
 from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
 from fractions import Fraction
@@ -327,6 +331,85 @@ def test_transfer_output_past_the_digit_limit_matches_int_rows(capsys, monkeypat
     assert max(map(len, out.replace(",", " ").split())) > 4300
 
 
+def printed_sequence(report, fmt):
+    # sequence's output as it was rendered before it was streamed: one dict
+    # through render_json, or one print per csv or table line
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if fmt == "json":
+            print(render_json({"p": int(report.p), "d": report.d, "engine": report.engine,
+                               "c": [str(v) for v in report.c],
+                               "k": [str(v) for v in report.k]}))
+        elif fmt == "csv":
+            print("e,c_e,k_e")
+            for e, (ce, ke) in enumerate(zip(report.c, report.k)):
+                print(f"{e},{ce},{ke}")
+        else:
+            print(f"# p={report.p} d={report.d} engine={report.engine}")
+            wc = max(len(str(report.c[min(report.emax, 1)])), len(str(report.c[-1])), 3)
+            wk = max(len(str(report.k[-1])), 3)
+            print(f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}")
+            for e, (ce, ke) in enumerate(zip(report.c, report.k)):
+                print(f"{e:>3} {ce:>{wc}} {ke:>{wk}}")
+    return buf.getvalue()
+
+
+def sequence_args(p, d, emax, engine, fmt):
+    return ["sequence", "--p", str(p), "--d", str(d), "--emax", str(emax),
+            "--engine", engine, "--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_streamed_sequence_matches_the_printed_one(capsys, fmt):
+    # enumerate's ints and transfer's Decimals, emax 0, 1 and 2 (one and two
+    # rows before the widths can come from c_1), d <= 2 (counts 0 from e = 2)
+    grid = [(p, d, emax, engine) for p in (2, 3, 5) for d in (1, 2, 3, 4)
+            for emax in (0, 1, 2, 3) for engine in ("enumerate", "transfer")]
+    grid += [(7, d, 30, "transfer") for d in (1, 2, 3, 5)]
+    grid.append((2, 4, 2000, "transfer"))  # about 3 MB, many chunks
+    for p, d, emax, engine in grid:
+        argv = sequence_args(p, d, emax, engine, fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = _sequence_report(build_parser().parse_args(argv))
+        assert out == printed_sequence(report, fmt), argv
+        if fmt == "json":
+            assert json.loads(out)["c"] == [str(v) for v in report.c]
+    assert len(out) > 20 * _CHUNK
+
+
+def test_streamed_sequence_is_written_in_bounded_chunks():
+    report = _sequence_report(build_parser().parse_args(
+        sequence_args(2, 4, 2000, "transfer", "csv")))
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    _write_lines(_sequence_lines(report, "csv"), Sink())
+    out = "".join(writes)
+    longest_line = max(map(len, out.splitlines(keepends=True)))
+    assert len(writes) > 20
+    assert all(_CHUNK <= len(w) < _CHUNK + longest_line for w in writes[:-1])
+    assert out == printed_sequence(report, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_streamed_sequence_memory_stays_bounded(fmt):
+    # the benchmark's opening request, about 34 MB of output; one JSON string
+    # of it peaked near 100 MiB
+    report = _sequence_report(build_parser().parse_args(
+        sequence_args(2, 3, 8384, "transfer", fmt)))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            _write_lines(_sequence_lines(report, fmt), sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_exact_context_traps_rounding():
     assert EXACT.prec == decimal.MAX_PREC
     narrow = EXACT.copy()
@@ -359,7 +442,7 @@ def test_main_restores_the_decimal_context(capsys):
 
 def test_closed_pipe_exits_without_traceback():
     # about 3 MB of output, far more than a pipe buffers, so the writer is
-    # still printing when the reader goes away after one line
+    # still writing when the reader goes away after one line
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

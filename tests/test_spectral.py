@@ -90,8 +90,8 @@ def test_perron_converges_on_a_periodic_matrix():
     assert est.lo**2 <= 2 <= est.hi**2
 
 
-def square_matrices(entries):
-    return st.integers(min_value=1, max_value=6).flatmap(
+def square_matrices(entries, max_n=6):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                            min_size=n, max_size=n)
     )
@@ -129,6 +129,55 @@ def test_perron_contains_reference_radius(matrix):
     slack = mpmath.mpf("1e-6")
     assert mpmath.mpf(est.lo.numerator) / est.lo.denominator <= radius + slack
     assert mpmath.mpf(est.hi.numerator) / est.hi.denominator >= radius - slack
+
+
+def fraction_perron_interval(matrix, tol):
+    # perron_interval as it was with one Fraction per ratio: the reference
+    # for its integer-pair loop
+    rows = _trim(spectral._validate_matrix(matrix))
+    n = len(rows)
+    if n == 0:
+        return spectral.SpectralEstimate(0, 0)
+    cap = 5 * n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
+    poly = char_poly(rows)
+    x = [1] * n
+    lo, hi = Fraction(0), Fraction(max(map(sum, rows)))
+    it = 0
+    while it < cap:
+        y = spectral._apply(rows, x)
+        ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
+        lo = max(lo, min(ratios))
+        hi = min(hi, max(ratios))
+        it += 1
+        if hi - lo <= tol:
+            break
+        if it < 4 * n + 16 and (hi - lo) * 256 > hi:
+            shift = max(0, min(y).bit_length() - 32)
+            x = [v >> shift for v in y]
+            continue
+        gap = spectral._floor_log2(hi / (hi - lo)) + 1
+        bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
+                + min(gap, max(0, spectral._floor_log2(hi / tol) + 1)))
+        tries = (spectral._shifted_solve(rows, 2 * hi - lo, x, bits << t) for t in range(5))
+        if (x := next(filter(None, tries), None)) is None:
+            break
+    sign_change = poly(lo - tol) < 0 < poly(hi + tol)
+    return spectral.SpectralEstimate(lo, hi, iterations=it, converged=hi - lo <= tol,
+                                     sign_change=sign_change)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
+       st.sampled_from([Fraction("1e-3"), Fraction("1e-9"), Fraction(1, 7), Fraction(10),
+                        Fraction("1e-40")]))
+@example([[0, 2], [1, 0]], Fraction("1e-40"))  # periodic
+@example([[2, 1, 0], [0, 3, 0], [0, 5, 1]], Fraction("1e-9"))  # reducible
+@example([[0, 1], [0, 0]], Fraction(1, 7))  # trimmed to nothing
+@example([[10**4] * 8] * 8, Fraction("1e-40"))
+def test_perron_matches_the_fraction_ratio_scan(matrix, tol):
+    est, ref = perron_interval(matrix, tol), fraction_perron_interval(matrix, tol)
+    assert (est.lo, est.hi, est.iterations, est.converged, est.sign_change) == (
+        ref.lo, ref.hi, ref.iterations, ref.converged, ref.sign_change)
 
 
 @settings(max_examples=100, deadline=None)
