@@ -54,7 +54,7 @@ from .poincare import build_table
 from .spectral import frobenius_complexity, perron_interval  # noqa: F401
 from .transfer import ComplexityReport, TransferSystem, build_system, sweep
 from .twistedop import (
-    TwistedOperator,
+    _identity_chain,
     bracket,
     factorization_check,
     min_kill_degree,
@@ -248,12 +248,9 @@ def _cmd_sequence(args) -> int:
 # --- spectral commands ------------------------------------------------------
 
 def _cmd_mdpoly(args) -> int:
-    p = Prime(args.p)
-    if args.d < 1:
-        raise ValueError("d must be >= 1")
-    table = build_table(p, args.d)
+    table = build_table(args.p, args.d)
     if args.format == "table":
-        print(f"# p={p} d={args.d} top_degree={table.top_degree}")
+        print(f"# p={table.p} d={args.d} top_degree={table.top_degree}")
         for m, c in enumerate(table.coeffs):
             print(f"{m:>3} {c}")
     else:
@@ -338,8 +335,9 @@ def _cmd_verify(args) -> int:
                 if e not in e_range:
                     continue
                 values = dict(zip(streams, counts))
-                if e < 2:  # carry's level 1 is the binomial, not a carry-vector sum
+                if e < 2:  # carry and closed take c_0 and c_1 from the sweep
                     values.pop("carry", None)
+                    values.pop("closed", None)
                 c = values["enumerate"]
                 if any(v != c for v in values.values()):
                     detail = " ".join(f"{k}={v}" for k, v in sorted(values.items()))
@@ -366,10 +364,6 @@ def _cmd_verify(args) -> int:
 
 # --- twisted ----------------------------------------------------------------
 
-def _format_rows(op: TwistedOperator) -> list[str]:
-    return ["  [" + ", ".join(str(v) for v in row) + "]" for row in op.rows]
-
-
 def _cmd_twisted_demo(args) -> int:
     p = Prime(args.p)
     if args.trunc < 1:
@@ -385,8 +379,8 @@ def _cmd_twisted_demo(args) -> int:
     print(f"# twisted demo: p={p} N={args.trunc} r={args.r} e={args.e} seed={args.seed}")
     print(f"ring F_{p}[x]/(x^{args.trunc}), min twist with p^e >= N: e0={e0}")
     print(f"A (matrix of the degree-{args.e} operator):")
-    for line in _format_rows(op):
-        print(line)
+    for row in op.rows:
+        print("  [" + ", ".join(str(v) for v in row) + "]")
     ok = factorization_check(op.rows, args.e, e0)
     print(f"(A,{args.e}) == (A,{e0}) o (I,{args.e - e0}): {'PASS' if ok else 'FAIL'}")
     collapsed = bracket(op.rows, e0)
@@ -394,9 +388,8 @@ def _cmd_twisted_demo(args) -> int:
         v.coeffs[1:] == (0,) * (args.trunc - 1) for row in collapsed for v in row
     )
     print(f"A^[p^{e0}] collapses to constant terms: {'PASS' if consts else 'FAIL'}")
-    if args.e - e0 >= 2 * e0 and e0 >= 1:
-        k = (args.e - e0) // e0 - 1
-        c = (args.e - e0) - k * e0
+    if (parts := _identity_chain(args.e - e0, e0)) is not None:
+        k, c = parts
         print(f"identity chain: (I,{args.e - e0}) == (I,{e0})^o{k} o (I,{c}): "
               f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok and consts else 3

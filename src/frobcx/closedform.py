@@ -23,6 +23,8 @@ certified interval of ``spectral.frobenius_complexity``.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .basep import Prime, digits
 from .errors import GuardExceeded
 
@@ -63,9 +65,9 @@ def xi_weight(p: int, e: int, i: int) -> int:
 def lower_bound(p: int, d: int, e: int) -> int:
     """Exact evaluation of the xi-weight lower bound for c_{d,e}.
 
-    Runs a base-p odometer over i = 0..p^e - 1, updating the binomial
-    comb(d-3+i, i) by one exact multiply/divide per step.  Guarded by
-    ``MAX_TERMS`` on the number of summands p^e.
+    Walks the base-p digits of i = 0..p^e - 1 in order, updating the
+    binomial comb(d-3+i, i) by one exact multiply/divide per step.
+    Guarded by ``MAX_TERMS`` on the number of summands p^e.
     """
     p = Prime(p)
     if d < 3:
@@ -75,24 +77,15 @@ def lower_bound(p: int, d: int, e: int) -> int:
     n = p**e
     if n > MAX_TERMS:
         raise GuardExceeded("lower-bound summation", n, MAX_TERMS)
-    dig = [0] * e
     binom = 1  # comb(d-3+i, i) at i = 0
     total = 0
-    for i in range(n):
+    for i, dig in enumerate(product(range(p), repeat=e)):  # digits of i, highest first
         if i:
             binom = binom * (d - 3 + i) // i
-            t = 0
-            while True:
-                dig[t] += 1
-                if dig[t] == p:
-                    dig[t] = 0
-                    t += 1
-                else:
-                    break
-        w = (p - 1 - dig[e - 1]) * dig[0]
+        w = (p - 1 - dig[0]) * dig[-1]
         if w:
-            for k in range(1, e - 1):
-                w *= dig[k] + 1
+            for c in dig[1:-1]:
+                w *= c + 1
             total += w * binom
     return total
 

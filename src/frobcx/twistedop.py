@@ -215,6 +215,14 @@ def min_kill_degree(ring: QuotientRing) -> int:
     return e
 
 
+def _identity_chain(tail: int, e0: int) -> tuple[int, int] | None:
+    """(k, c) with (I, tail) == (I, e0)^ok o (I, c), k >= 1 and e0 <= c < 2*e0;
+    None when e0 == 0 or tail < 2*e0, where (I, tail) is its own chain."""
+    if e0 < 1 or tail < 2 * e0:
+        return None
+    return tail // e0 - 1, tail % e0 + e0
+
+
 def factorization_check(rows, e: int, e0: int) -> bool:
     """Check that a degree-e operator splits off its twist beyond e0.
 
@@ -236,10 +244,8 @@ def factorization_check(rows, e: int, e0: int) -> bool:
     split = compose(TwistedOperator(rows, e0), identity_operator(ring, size, e - e0))
     if split != whole:
         return False
-    tail = e - e0
-    if e0 >= 1 and tail >= 2 * e0:
-        k = tail // e0 - 1
-        c = tail - k * e0
+    if (parts := _identity_chain(e - e0, e0)) is not None:
+        k, c = parts
         chain, step = identity_operator(ring, size, c), identity_operator(ring, size, e0)
         while k:  # by squaring: every factor is a power of (I, e0)
             if k & 1:
@@ -247,6 +253,6 @@ def factorization_check(rows, e: int, e0: int) -> bool:
             k >>= 1
             if k:  # skip the last square, which nothing uses
                 step = compose(step, step)
-        if chain != identity_operator(ring, size, tail):
+        if chain != identity_operator(ring, size, e - e0):
             return False
     return True

@@ -218,6 +218,20 @@ def test_verify_catches_injected_fault(capsys):
     assert "MISMATCH" in out
 
 
+def test_verify_lists_only_engines_that_computed_the_level(capsys, monkeypatch):
+    # carry and closed take c_0 and c_1 from the sweep, so they check nothing at e = 1
+    monkeypatch.setattr("frobcx.cli._VERIFY_GRID", ((2, range(3, 5), range(1, 3)),))
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    listed = {tuple(line.split()[2:4]): line.split()[-1] for line in out.splitlines()[:-1]}
+    assert listed == {
+        ("d=3", "e=1"): "[enumerate/transfer]",
+        ("d=3", "e=2"): "[carry/closed/enumerate/transfer]",
+        ("d=4", "e=1"): "[enumerate/transfer]",
+        ("d=4", "e=2"): "[carry/enumerate/transfer]",
+    }
+
+
 def test_twisted_demo_deterministic(capsys):
     code, out1, _ = run(capsys, "twisted", "demo", "--seed", "5")
     assert code == 0

@@ -8,6 +8,7 @@ from frobcx.twistedop import (
     QElem,
     QuotientRing,
     TwistedOperator,
+    _identity_chain,
     bracket,
     compose,
     factorization_check,
@@ -199,6 +200,16 @@ def test_factorization_check_holds_on_random_operators():
             if e > e0:
                 # any threshold between the minimum and e works too
                 assert factorization_check(op.rows, e, e0 + 1)
+
+
+def test_identity_chain_splits_the_tail_into_bounded_twists():
+    for e0, tail in product(range(5), range(31)):
+        parts = _identity_chain(tail, e0)
+        if e0 == 0 or tail < 2 * e0:
+            assert parts is None, (e0, tail)
+        else:
+            k, c = parts
+            assert k * e0 + c == tail and k >= 1 and e0 <= c < 2 * e0, (e0, tail, parts)
 
 
 def low_weight_operators(ring, degrees):
