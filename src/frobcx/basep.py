@@ -18,12 +18,14 @@ class Prime(int):
     """An int validated to be prime at construction.
 
     Usable anywhere an int is.  Validation is trial division, fine for the
-    small characteristics this package targets.
+    small characteristics this package targets; a Prime is not checked again.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: int) -> "Prime":
+        if isinstance(value, cls):
+            return value
         v = int(value)
         if v < 2:
             raise ValueError(f"{v} is not prime")

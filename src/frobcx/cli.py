@@ -29,10 +29,11 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 from .basep import Prime
@@ -51,7 +52,7 @@ from .enumeration import (
 from .errors import GuardExceeded
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
-from .spectral import frobenius_complexity, perron_interval  # noqa: F401
+from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
 from .transfer import ComplexityReport, TransferSystem, build_system, sweep
 from .twistedop import (
     _identity_chain,
@@ -65,10 +66,10 @@ from .twistedop import (
 FORMATS = ("table", "json", "csv")
 AUTO_ENUMERATE_LIMIT = 10**6
 
-_VERIFY_GRID = (
-    (2, range(1, 6), range(1, 5)),
-    (3, range(1, 6), range(1, 5)),
-    (5, range(1, 5), range(1, 4)),
+_VERIFY_GRID = (  # (p, d range, emax): each level e = 1..emax is checked
+    (2, range(1, 6), 4),
+    (3, range(1, 6), 4),
+    (5, range(1, 5), 3),
 )
 
 
@@ -96,16 +97,6 @@ def decimal_str(x: Fraction, places: int, *, round_up: bool) -> str:
     sign = "-" if n < 0 else ""
     s = str(abs(n)).rjust(places + 1, "0")
     return f"{sign}{s[:-places]}.{s[-places:]}" if places else f"{sign}{s}"
-
-
-def _parse_tol(text: str) -> Fraction:
-    try:
-        tol = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid tolerance {text!r}: {exc}") from None
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return tol
 
 
 def _guard_value(args, dest: str, default: int) -> int:
@@ -263,7 +254,7 @@ def _complexity_report(args, refusal: str):
     p = Prime(args.p)
     if args.d < 3:
         raise ValueError(refusal)
-    tol = _parse_tol(args.tol)
+    tol = _as_fraction(args.tol)
     cx = frobenius_complexity(p, args.d, tol)
     places = decimal_places(tol)
     return p, cx.radius, {
@@ -306,21 +297,17 @@ def _cmd_segre(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def _faulted(system: TransferSystem) -> TransferSystem:
-    rows = [list(r) for r in system.matrix]
-    rows[0][0] += 1
-    return TransferSystem(
-        system.p, system.d, tuple(tuple(r) for r in rows), system.x0, system.weights
-    )
+    (u, *row), *rows = system.matrix  # U[0][0] + 1
+    return replace(system, matrix=((u + 1, *row), *rows))
 
 
 def _cmd_verify(args) -> int:
     guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
     points = 0
     bound_checks = 0
-    for p_raw, d_range, e_range in _VERIFY_GRID:
+    for p_raw, d_range, emax in _VERIFY_GRID:
         p = Prime(p_raw)
         for d in d_range:
-            emax = max(e_range)
             # transfer is called directly so that it can run the faulted system
             system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None
             streams = {
@@ -331,9 +318,7 @@ def _cmd_verify(args) -> int:
                 streams["carry"] = ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS)
             if d == 3:
                 streams["closed"] = ENGINE_TERMS["closed"](p, d, emax, None)
-            for e, counts in enumerate(zip(*streams.values())):
-                if e not in e_range:
-                    continue
+            for e, counts in enumerate(islice(zip(*streams.values()), 1, None), 1):
                 values = dict(zip(streams, counts))
                 if e < 2:  # carry and closed take c_0 and c_1 from the sweep
                     values.pop("carry", None)
@@ -410,16 +395,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="frobcx", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    pd = _Parser(add_help=False)  # --p and --d, for every command that takes both
+    pd.add_argument("--p", type=int, required=True, help="prime characteristic")
+    pd.add_argument("--d", type=int, required=True, help="number of variables")
 
-    q = sub.add_parser("mdpoly", help="coefficient table of (1+t+...+t^(p-1))^d")
-    q.add_argument("--p", type=int, required=True, help="prime characteristic")
-    q.add_argument("--d", type=int, required=True, help="number of variables")
+    q = sub.add_parser("mdpoly", parents=[pd], help="coefficient table of (1+t+...+t^(p-1))^d")
     q.add_argument("--format", choices=("json", "table"), default="json")
     q.set_defaults(func=_cmd_mdpoly)
 
-    q = sub.add_parser("sequence", help="generator counts c_e and sums k_e")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
+    q = sub.add_parser("sequence", parents=[pd], help="generator counts c_e and sums k_e")
     q.add_argument("--emax", type=int, required=True)
     q.add_argument("--engine", choices=ENGINES, default="auto")
     q.add_argument("--format", choices=FORMATS, default="table")
@@ -427,19 +411,13 @@ def build_parser() -> _Parser:
     q.add_argument("--max-carryvectors", type=int, default=None)
     q.set_defaults(func=_cmd_sequence)
 
-    q = sub.add_parser("complexity", help="certified growth and complexity intervals")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--tol", default="1e-9", help="interval width target")
-    q.add_argument("--format", choices=("json", "table"), default="json")
-    q.set_defaults(func=_cmd_complexity)
-
-    q = sub.add_parser("segre", help="complexity with closed form where known")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--tol", default="1e-9")
-    q.add_argument("--format", choices=("json", "table"), default="json")
-    q.set_defaults(func=_cmd_segre)
+    for name, func, text in (
+            ("complexity", _cmd_complexity, "certified growth and complexity intervals"),
+            ("segre", _cmd_segre, "complexity with closed form where known")):
+        q = sub.add_parser(name, parents=[pd], help=text)
+        q.add_argument("--tol", default="1e-9", help="interval width target")
+        q.add_argument("--format", choices=("json", "table"), default="json")
+        q.set_defaults(func=func)
 
     q = sub.add_parser("verify", help="cross-check engines and bounds on a grid")
     q.add_argument("--quiet", action="store_true", help="summary line only")

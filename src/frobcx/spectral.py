@@ -39,10 +39,13 @@ from .basep import Prime
 from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
 
 
-def _as_fraction(value) -> Fraction:
-    out = Fraction(value)
+def _as_fraction(value) -> Fraction:  # the one parser of tol, the CLI's too
+    try:
+        out = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"invalid tolerance {value!r}: {exc}") from None
     if out <= 0:
-        raise ValueError("tol must be positive")
+        raise ValueError("tolerance must be positive")
     return out
 
 

@@ -12,6 +12,12 @@ def test_prime_accepts_primes():
         assert isinstance(Prime(p), int)
 
 
+def test_prime_of_a_prime_is_that_prime():
+    # no second trial division, which takes about 0.1 s for this q
+    q = Prime(1000000000039)
+    assert Prime(q) is q
+
+
 def test_prime_rejects_composites_and_small():
     for bad in [-3, 0, 1, 4, 6, 9, 15, 100]:
         with pytest.raises(ValueError):

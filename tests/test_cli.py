@@ -220,7 +220,7 @@ def test_verify_catches_injected_fault(capsys):
 
 def test_verify_lists_only_engines_that_computed_the_level(capsys, monkeypatch):
     # carry and closed take c_0 and c_1 from the sweep, so they check nothing at e = 1
-    monkeypatch.setattr("frobcx.cli._VERIFY_GRID", ((2, range(3, 5), range(1, 3)),))
+    monkeypatch.setattr("frobcx.cli._VERIFY_GRID", ((2, range(3, 5), 2),))
     code, out, _ = run(capsys, "verify")
     assert code == 0
     listed = {tuple(line.split()[2:4]): line.split()[-1] for line in out.splitlines()[:-1]}
@@ -253,11 +253,20 @@ def test_twisted_demo_deep_twist_splits_by_squaring(capsys):
 
 
 def test_help_exits_zero(capsys):
-    for argv in (["--help"], ["sequence", "--help"]):
+    for argv in (["--help"], ["sequence", "--help"], ["mdpoly", "--help"], ["segre", "--help"]):
         first = run(capsys, *argv)
         assert first[0] == 0 and first[1]
         # the parser is shared between calls, so a second help prints the same
         assert run(capsys, *argv) == first
+
+
+@pytest.mark.parametrize("command", ["mdpoly", "sequence", "complexity", "segre"])
+def test_p_and_d_are_required(capsys, command):
+    # every command that shares the --p/--d parent parser refuses either one left out
+    extra = ["--emax", "2"] if command == "sequence" else []
+    for missing, given in (("--p", ["--d", "3"]), ("--d", ["--p", "2"])):
+        assert run(capsys, command, *given, *extra) == (
+            1, "", f"error: the following arguments are required: {missing}\n")
 
 
 def test_parser_is_built_once():

@@ -292,6 +292,22 @@ def test_point_radius_takes_one_logarithm_per_argument(monkeypatch):
         assert calls == expected
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("abc", "invalid tolerance 'abc': Invalid literal for Fraction: 'abc'"),
+    ("1/0", "invalid tolerance '1/0': Fraction(1, 0)"),
+    (float("inf"), "invalid tolerance inf: "),
+    (0, "tolerance must be positive"),
+], ids=["abc", "1/0", "inf", "0"])
+def test_library_refuses_a_bad_tolerance_as_the_cli_does(tol, message):
+    # the CLI's complexity and segre print these messages after "error: "
+    calls = (lambda: frobenius_complexity(2, 4, tol), lambda: perron_interval([[2]], tol),
+             lambda: log_of_interval(2, 3, 3, tol))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize("tol",["1e-3", "1e-9", "1/7", "10", "1e-100"])
 def test_frobenius_complexity_meets_its_width(tol):
     # the radius tolerance is fixed in advance, and the one perron_interval
