@@ -10,13 +10,20 @@ Fraction that provably brackets the target.
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
 
-* ``log2_interval`` brackets log2(x) for rational x by the schoolbook
-  digit-by-digit method: repeatedly square the mantissa in fixed-point
-  integer arithmetic, rounding the lower track down and the upper track
-  up, and emit one bit of the logarithm per squaring.  If outward rounding
-  ever leaves the two tracks straddling the decision boundary, the whole
-  computation restarts with doubled precision, so the emitted bits are
-  always certain.  ``log_of_interval`` maps [lo, hi] to base b with one
+* ``log2_interval`` brackets log2(x) for rational x by argument reduction
+  and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
+  in [1, 2) and t = y^(1 / 2^r), log2 y = 2^r atanh(z) / atanh(1/3) for
+  z = (t - 1) / (t + 1), as ln 2 = 2 atanh(1/3).  A lower and an upper track
+  bound every quantity: floor and ceiling ``isqrt`` roots bracket t, and z
+  increases with t; each power of z and term of atanh(z) is rounded down on
+  the lower track and up on the upper one, which adds the last power P >= S
+  z^(2J+1) for the tail, at most P z^2 / (1 - z^2) < P / 8 as z < 1/3.  The
+  n terms of S atanh(1/3) down to the first zero quotient (S / 3, divided
+  by 9 per term) are exact floors, and the rest sum to less than one unit,
+  so their sum plus n + 1 bounds it above.  log2_interval returns floor(2^m
+  log2 y) when both tracks give it; log2 y is irrational for 1 < y < 2, so
+  that floor is the one answer.  Otherwise the guard bits double and it
+  tries again.  ``log_of_interval`` maps [lo, hi] to base b with one
   ``log2_interval`` call each for lo, hi and b (a single one for both ends
   when lo == hi), at a precision fixed in advance from tol and the sizes
   of lo and hi.
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .basep import Prime
 from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
@@ -201,25 +209,28 @@ def _floor_log2(x: Fraction) -> int:
     return k
 
 
-def _log2_bits(x: Fraction, k: int, m: int, bits: int) -> Fraction | None:
-    # binary digits of log2(x) - k where x / 2^k is in [1, 2), to m places,
-    # tracked in fixed point at scale 2^bits with outward rounding; None if
-    # the two tracks straddle a digit, so more bits are needed
-    num, den = x.numerator << max(0, -k), x.denominator << max(0, k)
-    ylo = (num << bits) // den
-    yhi = -((-(num << bits)) // den)
-    two = 2 << bits
-    acc = 0
-    for s in range(1, m + 1):
-        ylo = (ylo * ylo) >> bits
-        yhi = -((-(yhi * yhi)) >> bits)
-        if ylo >= two:
-            ylo >>= 1
-            yhi = -((-yhi) >> 1)
-            acc |= 1 << (m - s)
-        elif yhi >= two:
-            return None
-    return Fraction(acc, 1 << m)
+def _log2_bits(x: Fraction, k: int, m: int, guard: int) -> Fraction | None:
+    # floor(2^m log2 y) / 2^m for y = x / 2^k in [1, 2), or None if the lower
+    # and upper tracks (module docstring) disagree; r roots, at scale 2^w
+    r = isqrt(m + guard) // 3
+    w = m + guard + r
+    one, num, den = 1 << w, x.numerator << max(0, -k) + w, x.denominator << max(0, k)
+    tlo, thi = num // den, -(-num // den)
+    for _ in range(r):
+        tlo, thi = isqrt(tlo << w), isqrt((thi << w) - 1) + 1
+    zlo, zhi = ((tlo - one) << w) // (tlo + one), -((one - thi << w) // (thi + one))
+    z2lo, z2hi = zlo * zlo >> w, -(-zhi * zhi >> w)
+    alo, ahi, plo, phi, j = zlo, zhi, zlo, zhi, 1
+    while phi > 1:
+        plo, phi, j = plo * z2lo >> w, -(-phi * z2hi >> w), j + 2
+        alo += plo // j
+        ahi -= -phi // j
+    ahi += phi  # the tail
+    llo, q, n = 0, one // 3, 0  # S atanh(1/3) lies in [llo, llo + n + 1)
+    while q:
+        llo, q, n = llo + q // (2 * n + 1), q // 9, n + 1
+    lo = (alo << m + r) // (llo + n + 1)
+    return Fraction(lo, 1 << m) if lo == (ahi << m + r) // llo else None
 
 
 def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
@@ -232,9 +243,9 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
     if x == 1:
         return Fraction(0), Fraction(0)
     k = _floor_log2(x)
-    bits = m + 16
-    while (frac := _log2_bits(x, k, m, bits)) is None:
-        bits *= 2
+    guard = 24
+    while (frac := _log2_bits(x, k, m, guard)) is None:
+        guard *= 2
     return k + frac, k + frac + Fraction(1, 1 << m)
 
 

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -123,6 +124,18 @@ def test_complexity_json_round_trip(capsys):
     assert set(payload) == {"rho_lo", "rho_hi", "cxf_lo", "cxf_hi"}
     assert float(payload["rho_lo"]) <= 7.2360679775 <= float(payload["rho_hi"])
     assert float(payload["cxf_lo"]) <= 2.8552059612 <= float(payload["cxf_hi"])
+
+
+def test_complexity_answers_at_a_tight_tolerance(capsys):
+    # tol 1e-4000 takes its base-2 logarithm at about 13,300 bits
+    code, out, _ = run(capsys, "complexity", "--p", "2", "--d", "4", "--tol", "1e-4000")
+    assert code == 0
+    payload = json.loads(out)
+    assert Fraction(payload["cxf_hi"]) - Fraction(payload["cxf_lo"]) <= Fraction(3, 10**4000)
+    # the radius is 5 + sqrt(5)
+    with mpmath.workdps(4020):
+        target = mpmath.log(5 + mpmath.sqrt(5), 2)
+        assert mpmath.mpf(payload["cxf_lo"]) <= target <= mpmath.mpf(payload["cxf_hi"])
 
 
 def test_segre_reports_closed_form(capsys):

@@ -219,6 +219,113 @@ def test_log2_interval_frozen():
     assert lo <= 10 <= hi
 
 
+def digit_log2_interval(x: Fraction, m: int) -> tuple[Fraction, Fraction]:
+    # log2_interval's method before the atanh series, kept as its reference:
+    # square y = x / 2^k in [1, 2) in fixed point, the lower track rounded
+    # down and the upper one up, and emit one bit of log2 y per squaring; if
+    # the tracks straddle 2, start again with twice the bits
+    if x == 1:
+        return Fraction(0), Fraction(0)
+    k = spectral._floor_log2(x)
+    num, den = x.numerator << max(0, -k), x.denominator << max(0, k)
+    bits = m + 16
+    while True:
+        ylo, yhi, two, acc = (num << bits) // den, -(-(num << bits) // den), 2 << bits, 0
+        for s in range(1, m + 1):
+            ylo = (ylo * ylo) >> bits
+            yhi = -((-(yhi * yhi)) >> bits)
+            if ylo >= two:
+                ylo >>= 1
+                yhi = -((-yhi) >> 1)
+                acc |= 1 << (m - s)
+            elif yhi >= two:
+                break
+        else:
+            return k + Fraction(acc, 1 << m), k + Fraction(acc + 1, 1 << m)
+        bits *= 2
+
+
+def near_dyadic(m: int, j: int, depth: int) -> Fraction:
+    # a rational x with log2 x = j / 2^m + 2^-(m + |depth|) sign(depth), to
+    # within 2^-(m + |depth| + 60): the tracks must resolve a digit that close
+    gap = mpmath.mpf(2) ** -(m + abs(depth))
+    with mpmath.workprec(2 * (m + abs(depth)) + 200):
+        y = mpmath.power(2, mpmath.mpf(j) / 2**m + (gap if depth > 0 else -gap))
+        scale = 2 ** (m + abs(depth) + 64)
+        return Fraction(int(mpmath.floor(y * scale)), scale)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**60),
+    st.integers(min_value=1, max_value=10**60),
+    st.integers(min_value=-1100, max_value=1100),
+    st.integers(min_value=1, max_value=1200),
+)
+@example(2**200 + 1, 2**200, 0, 150)
+@example(2**200 - 1, 2**199, 0, 150)
+@example(3, 1, 1100, 1200)
+def test_log2_interval_equals_the_digit_method(num, den, shift, m):
+    # log2 x is irrational unless x is a power of two, so floor(2^m log2 x)
+    # is the one answer both methods certify
+    x = Fraction(num, den) * Fraction(2) ** shift
+    assert log2_interval(x, m) == digit_log2_interval(x, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=1200), st.data(),
+       st.integers(min_value=16, max_value=44), st.booleans(),
+       st.integers(min_value=-40, max_value=40))
+def test_log2_interval_equals_the_digit_method_next_to_a_digit(m, data, depth, above, shift):
+    # a random x is rarely near enough to a digit boundary for a rounding
+    # error to show.  With g guard bits the tracks are about 2^(5 - g) of a
+    # digit apart, so log2 x at 2^-(m + 16..44) from one, tried at every g up
+    # to 48, puts each bound to the test where it decides the digit
+    j = data.draw(st.integers(min_value=0, max_value=2**m - 1))
+    x = near_dyadic(m, j, depth if above else -depth) * Fraction(2) ** shift
+    lo, hi = digit_log2_interval(x, m)
+    assert log2_interval(x, m) == (lo, hi)
+    k = spectral._floor_log2(x)
+    for guard in range(1, 49):
+        frac = spectral._log2_bits(x, k, m, guard)
+        assert frac is None or k + frac == lo, guard
+
+
+@pytest.mark.parametrize("x, m", [
+    (Fraction(10**60 - 7, 3), 10_000),
+    (Fraction(5, 7) * Fraction(2) ** -300, 20_000),
+    (Fraction(2**200 + 1, 2**200), 10_000),
+    (Fraction(2**200 - 1, 2**199), 10_000),
+    (Fraction(2**200 + 1, 2**200), 20_000),
+], ids=["m10000", "m20000", "above-1-m10000", "below-2-m10000", "above-1-m20000"])
+def test_log2_interval_at_high_precision(x, m):
+    lo, hi = log2_interval(x, m)
+    assert hi - lo == Fraction(1, 2**m) and (lo * 2**m).denominator == 1
+    with mpmath.workprec(m + 64):
+        target = mpmath.log(mpmath.mpf(x.numerator) / x.denominator, 2)
+        assert mpmath.mpf(lo.numerator) / lo.denominator < target
+        assert target < mpmath.mpf(hi.numerator) / hi.denominator
+
+
+@pytest.mark.parametrize("depth", [86, -86])
+def test_log2_interval_retries_when_its_tracks_straddle_a_digit(monkeypatch, depth):
+    # log2 x lies 2^-150 from the 64-bit dyadic j / 2^64; the first guard
+    # bits resolve about 2^-24 of a digit, so the helper must run again
+    m, j = 64, 0x9E3779B97F4A7C15
+    x = near_dyadic(m, j, depth)
+    guards = []
+    helper = spectral._log2_bits
+
+    def counted(x, k, m, guard):
+        guards.append(guard)
+        return helper(x, k, m, guard)
+
+    monkeypatch.setattr(spectral, "_log2_bits", counted)
+    floor = j if depth > 0 else j - 1
+    assert log2_interval(x, m) == (Fraction(floor, 2**m), Fraction(floor + 1, 2**m))
+    assert len(guards) >= 2
+
+
 @settings(max_examples=80)
 @given(
     st.integers(min_value=1, max_value=10**9),
