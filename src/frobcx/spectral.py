@@ -9,6 +9,8 @@ Fraction that provably brackets the target.
   x, min_i (Ux)_i / x_i <= rho(U) <= max_i (Ux)_i / x_i.  Running max/min
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
+  lo, hi and tol stay integer pairs, and chi's sign at a / b, b > 0, is
+  that of b^n chi(a / b), n = deg chi, which Horner's rule gives in integers.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -20,13 +22,14 @@ Fraction that provably brackets the target.
   z^(2J+1) for the tail, at most P z^2 / (1 - z^2) < P / 8 as z < 1/3.  The
   n terms of S atanh(1/3) down to the first zero quotient (S / 3, divided
   by 9 per term) are exact floors, and the rest sum to less than one unit,
-  so their sum plus n + 1 bounds it above.  log2_interval returns floor(2^m
-  log2 y) when both tracks give it; log2 y is irrational for 1 < y < 2, so
-  that floor is the one answer.  Otherwise the guard bits double and it
-  tries again.  ``log_of_interval`` maps [lo, hi] to base b with one
-  ``log2_interval`` call each for lo, hi and b (a single one for both ends
-  when lo == hi), at a precision fixed in advance from tol and the sizes
-  of lo and hi.
+  so their sum plus n + 1 bounds it above; the sum is kept for the last w,
+  which the calls of one log_of_interval share.  log2_interval returns
+  floor(2^m log2 y) when both tracks give it; log2 y is irrational for
+  1 < y < 2, so that floor is the one answer.  Otherwise the guard bits
+  double and it tries again.  ``log_of_interval`` maps [lo, hi] to base b
+  with one ``log2_interval`` call each for lo, hi and b (a single one for
+  both ends when lo == hi), at a precision fixed in advance from tol and
+  the sizes of lo and hi.
 
 ``char_poly`` and ``CharPoly`` are defined in ``transfer``, whose count
 recurrence needs them, and re-exported here.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .basep import Prime
@@ -84,8 +88,8 @@ class SpectralEstimate(RationalInterval):
 
     ``converged`` records whether the requested width was reached within
     the iteration cap; the interval is valid either way.  ``sign_change``
-    reports whether the characteristic polynomial changes sign across the
-    slightly widened interval, a cross-check that succeeds when the radius
+    reports whether the characteristic polynomial is negative at lo - tol
+    and positive at hi + tol, a cross-check that succeeds when the radius
     is a simple isolated real root (None when the matrix was empty after
     trimming).
     """
@@ -191,22 +195,24 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
         tries = (_shifted_solve(rows, sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
-    lo, hi = Fraction(ln, ld), Fraction(hn, hd)
-    sign_change = poly(lo - tol) < 0 < poly(hi + tol)
-    return SpectralEstimate(lo, hi, iterations=it, converged=hi - lo <= tol,
-                            sign_change=sign_change)
+    sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
+                   < _scaled_value(poly, hn * td + tn * hd, hd * td))  # at lo - tol, hi + tol
+    return SpectralEstimate(Fraction(ln, ld), Fraction(hn, hd), iterations=it,
+                            converged=width * td <= tn * hd * ld, sign_change=sign_change)
+
+
+def _scaled_value(poly: CharPoly, a: int, b: int) -> int:
+    # b^n chi(a / b), n = deg chi, by Horner's rule in integers
+    out, power = 0, 1
+    for c in reversed(poly.coeffs):
+        out, power = out * a + c * power, power * b
+    return out
 
 
 def _floor_log2(x: Fraction) -> int:
     num, den = x.numerator, x.denominator
     k = num.bit_length() - den.bit_length()
-    if k >= 0:
-        if num < (den << k):
-            k -= 1
-    else:
-        if (num << -k) < den:
-            k -= 1
-    return k
+    return k - (num << max(0, -k) < den << max(0, k))
 
 
 def _log2_bits(x: Fraction, k: int, m: int, guard: int) -> Fraction | None:
@@ -226,11 +232,17 @@ def _log2_bits(x: Fraction, k: int, m: int, guard: int) -> Fraction | None:
         alo += plo // j
         ahi -= -phi // j
     ahi += phi  # the tail
-    llo, q, n = 0, one // 3, 0  # S atanh(1/3) lies in [llo, llo + n + 1)
-    while q:
-        llo, q, n = llo + q // (2 * n + 1), q // 9, n + 1
+    llo, n = _atanh_third(w)  # S atanh(1/3) lies in [llo, llo + n + 1)
     lo = (alo << m + r) // (llo + n + 1)
     return Fraction(lo, 1 << m) if lo == (ahi << m + r) // llo else None
+
+
+@lru_cache(maxsize=1)
+def _atanh_third(w: int) -> tuple[int, int]:
+    llo, q, n = 0, (1 << w) // 3, 0
+    while q:
+        llo, q, n = llo + q // (2 * n + 1), q // 9, n + 1
+    return llo, n
 
 
 def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:

@@ -29,8 +29,9 @@ only where it pays, by one crossover rule (``_chi_pays``): once the last
 level wanted is e >= n^2/4 + n + 8.  Below it a sweep runs the matrix
 throughout and one term is its last count; from it on a sweep turns to chi
 after c_{n+1}, and one term is Fiduccia's on those c_2..c_{n+1}.  Measured
-for p <= 7 on ints, n <= 30 (on Decimals chi pays a little earlier); one
-term's sweep/Fiduccia time ratio crosses 1 near the same line.  ``state``,
+for p = 2 and 5 on ints, a sweep's matrix/chi and one term's sweep/Fiduccia
+time ratios cross 1 at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for
+n = 30; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  ``state``,
 binary powering of U, is only the reference the tests check both paths
 against.  Counts grow to about e * log2(rho) bits, rho the spectral radius.
 
@@ -48,6 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .basep import Prime
 from .poincare import build_table
@@ -99,7 +101,7 @@ def build_system(p: int, d: int) -> TransferSystem:
 
 
 def _apply(matrix: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(u * v for u, v in zip(row, x)) for row in matrix]
+    return [sum(map(mul, row, x)) for row in matrix]
 
 
 def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -179,10 +181,9 @@ def char_poly(matrix) -> CharPoly:
         v = [row[k] for row in rows[k + 1:]]
         col = [1, -rows[k][k]]
         for _ in sub:
-            col.append(-sum(a * b for a, b in zip(r, v)))
+            col.append(-sum(map(mul, r, v)))
             v = _apply(sub, v)
-        poly = [sum(col[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
-                for i in range(len(col))]
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(len(col))]
     return CharPoly(tuple(reversed(poly)))
 
 
@@ -292,10 +293,10 @@ def sweep(
         n = system.dim
         last = n + 1 if _chi_pays(n, emax) else emax
         x = [number(v) for v in system.x0]
-        c[2] = sum(w * v for w, v in zip(system.weights, x))
+        c[2] = sum(map(mul, system.weights, x))
         for e in range(3, last + 1):
             x = _apply(system.matrix, x)
-            c[e] = sum(w * v for w, v in zip(system.weights, x))
+            c[e] = sum(map(mul, system.weights, x))
         if last < emax:
             recurrence = [(k - n, number(b)) for k, b in _recurrence(system.matrix)]
             for e in range(n + 2, emax + 1):

@@ -14,7 +14,7 @@ from frobcx.spectral import (
     perron_interval,
     _trim,
 )
-from frobcx.transfer import build_system
+from frobcx.transfer import CharPoly, build_system
 
 mpmath.mp.dps = 50
 
@@ -80,6 +80,13 @@ def test_perron_unconverged_interval_is_still_valid():
     assert not est.converged
     assert est.iterations == 5 * 2 + 16 + (10**12).bit_length() == 66
     assert est.lo <= 2 <= est.hi
+
+
+def test_perron_converges_at_a_width_equal_to_tol():
+    # the first step's ratios are the row sums 2 and 1: a width of exactly
+    # tol = 1, which converges (the loop's test and the result's agree)
+    est = perron_interval([[2, 0], [0, 1]], 1)
+    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 1, True)
 
 
 def test_perron_converges_on_a_periodic_matrix():
@@ -178,6 +185,25 @@ def test_perron_matches_the_fraction_ratio_scan(matrix, tol):
     est, ref = perron_interval(matrix, tol), fraction_perron_interval(matrix, tol)
     assert (est.lo, est.hi, est.iterations, est.converged, est.sign_change) == (
         ref.lo, ref.hi, ref.iterations, ref.converged, ref.sign_change)
+
+
+def sized_integers(max_bits):
+    return st.integers(0, max_bits).flatmap(lambda k: st.integers(-(2**k), 2**k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.just(0) | sized_integers(800), max_size=40), sized_integers(1000),
+       sized_integers(1000).map(lambda v: abs(v) + 1))
+@example([-6, 1], 4, 2)  # x^2 + x - 6 = (x - 2)(x + 3): zero at 4 / 2
+@example([9, 6], -6, 2)  # (x + 3)^2: a double zero at -6 / 2
+@example([0, 0, 0], 0, 1)
+@example([], -(2**1000) + 1, 2**1000 - 1)
+def test_scaled_value_has_the_sign_of_the_fraction_value(low, a, b):
+    # perron_interval's sign check, against CharPoly's Horner on the Fraction
+    poly = CharPoly((*low, 1))
+    value, scaled = poly(Fraction(a, b)), spectral._scaled_value(poly, a, b)
+    assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0)
+    assert scaled == value * b**poly.degree
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,6 +425,22 @@ def test_point_radius_takes_one_logarithm_per_argument(monkeypatch):
         assert calls == expected
 
 
+def test_one_log_of_interval_sums_ln2_once(monkeypatch):
+    # lo, hi and the base 3 are taken at one precision, so at one scale w
+    calls = []
+
+    def counted(x, m):
+        calls.append(m)
+        return log2_interval(x, m)
+
+    monkeypatch.setattr(spectral, "log2_interval", counted)
+    spectral._atanh_third.cache_clear()
+    frobenius_complexity(3, 5, "1e-200")
+    info = spectral._atanh_third.cache_info()
+    assert len(calls) == 3 and len(set(calls)) == 1
+    assert (info.misses, info.hits) == (1, 2)
+
+
 @pytest.mark.parametrize("tol, message", [
     ("abc", "invalid tolerance 'abc': Invalid literal for Fraction: 'abc'"),
     ("1/0", "invalid tolerance '1/0': Fraction(1, 0)"),
@@ -471,7 +513,12 @@ def test_frobenius_complexity_rejects_small_d():
 
 
 def test_transfer_systems_have_sign_change_certificates():
-    for p, d in [(2, 4), (2, 5), (3, 4), (5, 4)]:
+    # p = 2, d = 24, 30, 40 are certify's wide points: chi of degree up to 38
+    # with coefficients of about 780 bits, whose sign CharPoly also takes
+    tol = Fraction("1e-8")
+    for p, d in [(2, 4), (2, 5), (3, 4), (5, 4), (2, 24), (2, 30), (2, 40)]:
         system = build_system(p, d)
-        est = perron_interval(system.matrix, "1e-8")
+        est = perron_interval(system.matrix, tol)
         assert est.converged and est.sign_change
+        poly = char_poly(system.matrix)
+        assert poly(est.lo - tol) < 0 < poly(est.hi + tol)
