@@ -13,11 +13,13 @@ which is only right when an output change is intended.
 The grid: ``mdpoly`` in both formats; ``sequence`` for every engine on
 small cells, each cell in one of the three formats in turn, leaving out
 cells that would enumerate more than 10^5 compositions (about 0.1 s each);
-``complexity`` and ``segre`` in both formats at four tolerances; ``verify``
-in full, with an injected fault and with a tripping guard (a passing
-``verify --quiet`` prints the last line of ``verify``; ``test_cli.py``
-checks it byte for byte); ``twisted demo``; refused inputs (exit 1) and
-guard trips (exit 2).
+``complexity`` and ``segre`` in both formats at four tolerances, and
+``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8 and at 1e-15 for
+d = 24, narrow enough for the radius enclosure's shifted inverse steps
+(12-18 iterations); ``verify`` in full, with an injected fault and with a
+tripping guard (a passing ``verify --quiet`` prints the last line of
+``verify``; ``test_cli.py`` checks it byte for byte); ``twisted demo``;
+refused inputs (exit 1) and guard trips (exit 2).
 """
 
 import contextlib
@@ -71,6 +73,11 @@ def grid():
                 for fmt in ("json", "table"):
                     cmds.append(([command, "--p", p, "--d", d, "--tol", tol,
                                   "--format", fmt], {}))
+    for p, d, tols in ((2, 6, ("1e-100", "1e-300")), (3, 8, ("1e-100", "1e-300")),
+                       (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15",))):
+        for tol in tols:  # narrow enough for the shifted inverse steps
+            cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
+                          "--format", "table"], {}))
     cmds += [
         (["verify"], {}),
         (["verify", "--inject-fault"], {}),
@@ -211,8 +218,9 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
                 assert Fraction(hi) - Fraction(lo) <= tol + Fraction(2, 10**places), r["argv"]
                 assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
                 checked += 1
-    # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in json
-    assert checked == 8 * 4 * (2 + 2 + 2 + 1)
+    # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in
+    # json; then 7 narrow complexity tables of 2 intervals each
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 7 * 2
 
 
 if __name__ == "__main__":
