@@ -305,8 +305,7 @@ def _cmd_verify(args) -> int:
     guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
     points = 0
     bound_checks = 0
-    for p_raw, d_range, emax in _VERIFY_GRID:
-        p = Prime(p_raw)
+    for p, d_range, emax in _VERIFY_GRID:
         for d in d_range:
             # transfer is called directly so that it can run the faulted system
             system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None

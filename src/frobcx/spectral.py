@@ -9,8 +9,10 @@ Fraction that provably brackets the target.
   x, min_i (Ux)_i / x_i <= rho(U) <= max_i (Ux)_i / x_i.  Running max/min
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
-  lo, hi and tol stay integer pairs, and chi's sign at a / b, b > 0, is
-  that of b^n chi(a / b), n = deg chi, which Horner's rule gives in integers.
+  lo, hi and tol stay integer pairs, as do an inverse step's shift sigma and
+  the ratios hi / width and hi / tol that set its precision (unreduced);
+  chi's sign at a / b, b > 0, is that of b^n chi(a / b), n = deg chi, which
+  Horner's rule gives in integers.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -112,12 +114,12 @@ def _trim(rows: Matrix) -> Matrix:
         keep = kept
 
 
-def _shifted_solve(rows: Matrix, sigma: Fraction, x: list[int], bits: int) -> list[int] | None:
-    # z ~ (sigma I - U)^-1 x by Gaussian elimination with partial pivoting, in
-    # fixed point at scale 2^bits with sigma rounded up; None on a zero pivot
-    # or a nonpositive z
+def _shifted_solve(rows: Matrix, sn: int, sd: int, x: list[int], bits: int) -> list[int] | None:
+    # z ~ (sigma I - U)^-1 x, sigma = sn / sd with sd > 0, by Gaussian
+    # elimination with partial pivoting, in fixed point at scale 2^bits with
+    # sigma rounded up; None on a zero pivot or a nonpositive z
     n, top = len(rows), max(x).bit_length()
-    s = -((-sigma.numerator << bits) // sigma.denominator)
+    s = -((-sn << bits) // sd)
     a = [[(s if i == j else 0) - (u << bits) for j, u in enumerate(row)]
          + [(x[i] << bits) >> top] for i, row in enumerate(rows)]
     for k in range(n):
@@ -154,15 +156,15 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
     n = len(rows)
     if n == 0:
         return SpectralEstimate(0, 0)
-    cap = 5 * n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
+    tn, td = tol.numerator, tol.denominator
+    cap = 5 * n + 16 + (-(-td // tn)).bit_length()
 
     poly = char_poly(rows)
     x = [1] * n
-    # lo, hi and each step's extreme ratios y_i / x_i are kept as integer
+    # lo, hi, tol and each step's extreme ratios y_i / x_i are kept as integer
     # pairs (numerator, positive denominator) and compared by cross products
     ln, ld = 0, 1
     hn, hd = max(map(sum, rows)), 1  # the first step's bound, as x is all ones
-    tn, td = tol.numerator, tol.denominator
     it = 0
     while it < cap:
         y = _apply(rows, x)
@@ -178,7 +180,7 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
             hn, hd = bn, bd
         it += 1
         width = hn * ld - ln * hd  # (hi - lo) hd ld
-        if width * td <= tn * hd * ld:
+        if converged := width * td <= tn * hd * ld:  # the loop runs at least once
             break
         if it < 4 * n + 16 and width * 256 > hn * ld:
             shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
@@ -188,17 +190,16 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
         # so the exact z is positive.  bits cover x's range, log2(hi / width)
         # for the solve and as many again (to tol) for the next width; a
         # failed solve is retried with twice the bits, at most four times
-        gap = _floor_log2(Fraction(hn * ld, width)) + 1
+        gap = _floor_log2(hn * ld, width) + 1
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
-                + min(gap, max(0, _floor_log2(Fraction(hn * td, hd * tn)) + 1)))
-        sigma = Fraction(hn * ld + width, hd * ld)
-        tries = (_shifted_solve(rows, sigma, x, bits << t) for t in range(5))
+                + min(gap, max(0, _floor_log2(hn * td, hd * tn) + 1)))
+        tries = (_shifted_solve(rows, hn * ld + width, hd * ld, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
     sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
                    < _scaled_value(poly, hn * td + tn * hd, hd * td))  # at lo - tol, hi + tol
     return SpectralEstimate(Fraction(ln, ld), Fraction(hn, hd), iterations=it,
-                            converged=width * td <= tn * hd * ld, sign_change=sign_change)
+                            converged=converged, sign_change=sign_change)
 
 
 def _scaled_value(poly: CharPoly, a: int, b: int) -> int:
@@ -209,8 +210,8 @@ def _scaled_value(poly: CharPoly, a: int, b: int) -> int:
     return out
 
 
-def _floor_log2(x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
+def _floor_log2(num: int, den: int) -> int:
+    # floor(log2(num / den)) for num, den > 0
     k = num.bit_length() - den.bit_length()
     return k - (num << max(0, -k) < den << max(0, k))
 
@@ -254,7 +255,7 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
         raise ValueError("m must be >= 1")
     if x == 1:
         return Fraction(0), Fraction(0)
-    k = _floor_log2(x)
+    k = _floor_log2(*x.as_integer_ratio())
     guard = 24
     while (frac := _log2_bits(x, k, m, guard)) is None:
         guard *= 2
@@ -283,7 +284,7 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
         raise ValueError("base must be >= 2")
     m = (-((-tol.denominator) // tol.numerator)).bit_length()  # bits(ceil(1/tol))
     if base != 2:
-        k = max(abs(_floor_log2(lo)), abs(_floor_log2(hi)))
+        k = max(abs(_floor_log2(*lo.as_integer_ratio())), abs(_floor_log2(*hi.as_integer_ratio())))
         m += max(8, (k + 3).bit_length())
     alo, ahi = log2_interval(lo, m)
     if hi != lo:  # a point, such as every 1x1 radius, needs one logarithm

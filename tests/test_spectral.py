@@ -162,10 +162,11 @@ def fraction_perron_interval(matrix, tol):
             shift = max(0, min(y).bit_length() - 32)
             x = [v >> shift for v in y]
             continue
-        gap = spectral._floor_log2(hi / (hi - lo)) + 1
+        gap = spectral._floor_log2(*(hi / (hi - lo)).as_integer_ratio()) + 1
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
-                + min(gap, max(0, spectral._floor_log2(hi / tol) + 1)))
-        tries = (spectral._shifted_solve(rows, 2 * hi - lo, x, bits << t) for t in range(5))
+                + min(gap, max(0, spectral._floor_log2(*(hi / tol).as_integer_ratio()) + 1)))
+        sigma = (2 * hi - lo).as_integer_ratio()  # reduced, where perron_interval's is not
+        tries = (spectral._shifted_solve(rows, *sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
     sign_change = poly(lo - tol) < 0 < poly(hi + tol)
@@ -176,11 +177,12 @@ def fraction_perron_interval(matrix, tol):
 @settings(max_examples=150, deadline=None)
 @given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
        st.sampled_from([Fraction("1e-3"), Fraction("1e-9"), Fraction(1, 7), Fraction(10),
-                        Fraction("1e-40")]))
+                        Fraction("1e-40"), Fraction("1e-100"), Fraction("1e-300")]))
 @example([[0, 2], [1, 0]], Fraction("1e-40"))  # periodic
 @example([[2, 1, 0], [0, 3, 0], [0, 5, 1]], Fraction("1e-9"))  # reducible
 @example([[0, 1], [0, 0]], Fraction(1, 7))  # trimmed to nothing
 @example([[10**4] * 8] * 8, Fraction("1e-40"))
+@example(build_system(3, 8).matrix, Fraction("1e-300"))  # the CLI's narrowest
 def test_perron_matches_the_fraction_ratio_scan(matrix, tol):
     est, ref = perron_interval(matrix, tol), fraction_perron_interval(matrix, tol)
     assert (est.lo, est.hi, est.iterations, est.converged, est.sign_change) == (
@@ -204,6 +206,40 @@ def test_scaled_value_has_the_sign_of_the_fraction_value(low, a, b):
     value, scaled = poly(Fraction(a, b)), spectral._scaled_value(poly, a, b)
     assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0)
     assert scaled == value * b**poly.degree
+
+
+def positive_integers(max_bits):
+    return sized_integers(max_bits).map(lambda v: abs(v) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_integers(2000), positive_integers(2000), positive_integers(200))
+@example(2**1000, 1, 1)  # exact powers of two, above and below 1
+@example(1, 2**1000, 3)
+@example(3 * 2**700, 3, 2**200 - 1)
+@example(5 * 2**64 + 1, 5, 7)  # 2^j den +- 1
+@example(5 * 2**64 - 1, 5, 7)
+@example(7 * 2**300 + 1, 7 * 2**600, 2**200)
+@example(7 * 2**300 - 1, 7 * 2**600, 1)
+def test_floor_log2_sees_only_the_value(num, den, g):
+    # perron_interval passes unreduced pairs
+    k = spectral._floor_log2(num, den)
+    assert den << max(k, 0) <= num << max(-k, 0)
+    assert num << max(-k - 1, 0) < den << max(k + 1, 0)
+    assert spectral._floor_log2(g * num, g * den) == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(3, 8), st.data(),
+       positive_integers(64), positive_integers(200), st.integers(1, 300))
+def test_shifted_solve_sees_only_the_value_of_sigma(p, d, data, q, g, bits):
+    # sigma = hi + 1 / q, above the radius; the solve rounds sigma at 2^bits,
+    # so (g sn, g sd) gives the same z, or the same None
+    rows = build_system(p, d).matrix
+    x = data.draw(st.lists(positive_integers(64), min_size=len(rows), max_size=len(rows)))
+    sn, sd = (perron_interval(rows, "1e-9").hi + Fraction(1, q)).as_integer_ratio()
+    z = spectral._shifted_solve(rows, sn, sd, x, bits)
+    assert spectral._shifted_solve(rows, g * sn, g * sd, x, bits) == z
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +288,7 @@ def digit_log2_interval(x: Fraction, m: int) -> tuple[Fraction, Fraction]:
     # the tracks straddle 2, start again with twice the bits
     if x == 1:
         return Fraction(0), Fraction(0)
-    k = spectral._floor_log2(x)
+    k = spectral._floor_log2(x.numerator, x.denominator)
     num, den = x.numerator << max(0, -k), x.denominator << max(0, k)
     bits = m + 16
     while True:
@@ -311,7 +347,7 @@ def test_log2_interval_equals_the_digit_method_next_to_a_digit(m, data, depth, a
     x = near_dyadic(m, j, depth if above else -depth) * Fraction(2) ** shift
     lo, hi = digit_log2_interval(x, m)
     assert log2_interval(x, m) == (lo, hi)
-    k = spectral._floor_log2(x)
+    k = spectral._floor_log2(x.numerator, x.denominator)
     for guard in range(1, 49):
         frac = spectral._log2_bits(x, k, m, guard)
         assert frac is None or k + frac == lo, guard
