@@ -162,10 +162,11 @@ def fraction_perron_interval(matrix, tol):
             shift = max(0, min(y).bit_length() - 32)
             x = [v >> shift for v in y]
             continue
+        # reduced pairs, where perron_interval passes unreduced ones
         gap = spectral._floor_log2(*(hi / (hi - lo)).as_integer_ratio()) + 1
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
                 + min(gap, max(0, spectral._floor_log2(*(hi / tol).as_integer_ratio()) + 1)))
-        sigma = (2 * hi - lo).as_integer_ratio()  # reduced, where perron_interval's is not
+        sigma = (2 * hi - lo).as_integer_ratio()
         tries = (spectral._shifted_solve(rows, *sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
