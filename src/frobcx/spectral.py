@@ -284,7 +284,7 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
         raise ValueError("base must be >= 2")
     m = (-((-tol.denominator) // tol.numerator)).bit_length()  # bits(ceil(1/tol))
     if base != 2:
-        k = max(abs(_floor_log2(*lo.as_integer_ratio())), abs(_floor_log2(*hi.as_integer_ratio())))
+        k = max(abs(_floor_log2(*v.as_integer_ratio())) for v in (lo, hi))
         m += max(8, (k + 3).bit_length())
     alo, ahi = log2_interval(lo, m)
     if hi != lo:  # a point, such as every 1x1 radius, needs one logarithm
