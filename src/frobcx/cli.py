@@ -11,7 +11,9 @@ twisted     demonstrations of the twisted operator algebra
 
 sequence --engine transfer (and auto, when it picks transfer) sweeps the
 counts as exact decimals, so that printing them takes time linear in their
-digits; the output is byte-identical to printing integer counts.
+digits; the output is byte-identical to printing integer counts.  It writes
+each count as the sweep yields it and holds no list of them, so its memory
+stays bounded however long the answer.
 
 Exit codes: 0 success, 1 usage or validation error, 2 iteration guard
 exceeded, 3 verification mismatch.
@@ -32,9 +34,9 @@ import sys
 from dataclasses import replace
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
-from functools import cache
-from itertools import chain, islice
-from typing import Iterator
+from functools import cache, partial
+from itertools import accumulate, chain, islice, tee
+from typing import Callable, Iterable, Iterator
 
 from .basep import Prime
 from .closedform import (
@@ -53,7 +55,9 @@ from .errors import GuardExceeded
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
-from .transfer import ComplexityReport, TransferSystem, build_system, sweep
+from .transfer import (
+    TransferSystem, build_system, complexity_term, iter_counts, sweep, term_and_sum,
+)
 from .twistedop import (
     _identity_chain,
     bracket,
@@ -135,11 +139,11 @@ def _levels(p: Prime, d: int, emax: int, count) -> Iterator[int]:
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 # engine -> terms(p, d, emax, guard): the counts c_0..c_emax.  transfer
-# returns the Decimals of its single sweep, exact under EXACT only; the
-# others yield ints level by level, so verify reports each level before a
-# guard can stop the next one.
+# returns a new sweep on Decimals, exact only where each count is taken
+# under EXACT; the others yield ints level by level, so verify reports each
+# level before a guard can stop the next one.
 ENGINE_TERMS = {
-    "transfer": lambda p, d, emax, guard: sweep(p, d, emax, number=Decimal),
+    "transfer": lambda p, d, emax, guard: iter_counts(p, d, emax, number=Decimal),
     "enumerate": lambda p, d, emax, guard: chain((0,), (
         count_basis_enumeration(p, d, e, max_compositions=guard)
         for e in range(1, emax + 1))),
@@ -163,7 +167,13 @@ def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str
     return engine
 
 
-def _sequence_report(args) -> ComplexityReport:
+def _sequence_counts(args) -> tuple[str, Callable[[], Iterable]]:
+    """The engine ``sequence`` runs for ``args``, and a function giving its counts.
+
+    A refusal or guard trip raises here, before any output.  transfer's
+    counts are a new sweep on each call, checked when it is called; the
+    other engines' are computed once, here, as a short list.
+    """
     p = Prime(args.p)
     if args.d < 1:
         raise ValueError("d must be >= 1")
@@ -173,9 +183,11 @@ def _sequence_report(args) -> ComplexityReport:
     carry_guard = _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)
     engine = _resolve_engine(args.engine, p, args.d, args.emax, comp_guard)
     guard = carry_guard if engine == "carry" else comp_guard
-    with localcontext(EXACT):  # k_e is summed from the counts, so inside too
-        terms = ENGINE_TERMS[engine](p, args.d, args.emax, guard)
-        return ComplexityReport(p, args.d, engine, tuple(terms))
+    counts = partial(ENGINE_TERMS[engine], p, args.d, args.emax, guard)
+    if engine != "transfer":
+        terms = list(counts())
+        counts = lambda: terms
+    return engine, counts
 
 
 # characters of output per write.  Lines are joined up to about this size:
@@ -185,38 +197,51 @@ def _sequence_report(args) -> ComplexityReport:
 _CHUNK = 1 << 16
 
 
-def _sequence_lines(report: ComplexityReport, fmt: str) -> Iterator[str]:
-    """``sequence``'s output in ``fmt``, line by line, each with its newline.
+def _sequence_lines(args, engine: str, counts: Callable[[], Iterable]) -> Iterator[str]:
+    """``sequence``'s output for ``args``, line by line, each with its newline.
 
-    Each count becomes a string once, as its line is made.  JSON is laid out
-    as ``render_json`` lays out the same dict, without an encoder: its only
-    strings are an engine name and digit strings, which need no escaping.
+    Each count becomes a string once, as its line is made, and k_e is summed
+    as it goes; JSON lists the k_e after every c_e, so it runs the counts
+    twice.  Decimal counts are exact only if the lines are taken under
+    ``EXACT``.  JSON is laid out as ``render_json`` lays out the same dict,
+    without an encoder: its only strings are an engine name and digit
+    strings, which need no escaping.
     """
-    c, k = report.c, report.k
+    p, d, emax, fmt = args.p, args.d, args.emax, args.format
     if fmt == "json":
-        yield f'{{\n  "p": {int(report.p)},\n  "d": {report.d},\n'
-        yield f'  "engine": "{report.engine}",\n'
-        for name, values, close in (("c", c, "  ],\n"), ("k", k, "  ]\n}\n")):
+        yield f'{{\n  "p": {int(p)},\n  "d": {d},\n'
+        yield f'  "engine": "{engine}",\n'
+        # the second run of counts starts when the k list does
+        for name, values, close in (("c", counts(), "  ],\n"),
+                                    ("k", accumulate(counts()), "  ]\n}\n")):
             yield f'  "{name}": [\n'
-            for v in values[:-1]:
-                yield f'    "{v!s}",\n'
-            yield f'    "{values[-1]!s}"\n{close}'
-    elif fmt == "csv":
+            values = iter(values)
+            last = next(values)  # the last item takes no comma
+            for v in values:
+                yield f'    "{last!s}",\n'
+                last = v
+            yield f'    "{last!s}"\n{close}'
+        return
+    c, summed = tee(counts())
+    rows = enumerate(zip(c, accumulate(summed)))
+    if fmt == "csv":
         yield "e,c_e,k_e\n"
-        for e, (ce, ke) in enumerate(zip(c, k)):
+        for e, (ce, ke) in rows:
             yield f"{e},{ce!s},{ke!s}\n"
+        return
+    yield f"# p={p} d={d} engine={engine}\n"
+    # c_1 or c_emax is the widest count: from e = 2 on, counts are 0 for
+    # d <= 2 and never decrease for d >= 3, since U has a positive diagonal.
+    # transfer's come by Fiduccia's method, so that no sweep runs before row 0
+    if engine == "transfer":
+        c_1, (c_last, k_last) = complexity_term(p, d, min(emax, 1)), term_and_sum(p, d, emax)
     else:
-        yield f"# p={report.p} d={report.d} engine={report.engine}\n"
-        # c_1 or c_emax is the widest count: from e = 2 on, counts are 0 for
-        # d <= 2 and never decrease for d >= 3, since U has a positive diagonal.
-        # The last row's strings give the widths and are then its row
-        c_last, k_last = str(c[-1]), str(k[-1])
-        wc = max(len(str(c[min(report.emax, 1)])), len(c_last), 3)
-        wk = max(len(k_last), 3)
-        yield f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}\n"
-        for e, (ce, ke) in enumerate(zip(c[:-1], k[:-1])):
-            yield f"{e:>3} {str(ce).rjust(wc)} {str(ke).rjust(wk)}\n"
-        yield f"{report.emax:>3} {c_last.rjust(wc)} {k_last.rjust(wk)}\n"
+        terms = counts()
+        c_1, c_last, k_last = terms[min(emax, 1)], terms[-1], sum(terms)
+    wc, wk = max(len(str(c_1)), len(str(c_last)), 3), max(len(str(k_last)), 3)
+    yield f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}\n"
+    for e, (ce, ke) in rows:
+        yield f"{e:>3} {str(ce).rjust(wc)} {str(ke).rjust(wk)}\n"
 
 
 def _write_lines(lines: Iterator[str], out) -> None:
@@ -232,7 +257,11 @@ def _write_lines(lines: Iterator[str], out) -> None:
 
 
 def _cmd_sequence(args) -> int:
-    _write_lines(_sequence_lines(_sequence_report(args), args.format), sys.stdout)
+    engine, counts = _sequence_counts(args)
+    # every pass of a Decimal sweep, and every k_e sum, runs as its lines are
+    # written: outside EXACT they would round silently at 28 digits
+    with localcontext(EXACT):
+        _write_lines(_sequence_lines(args, engine, counts), sys.stdout)
     return 0
 
 

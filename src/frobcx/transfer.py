@@ -20,13 +20,14 @@ characteristic polynomial chi = t^n + sum_k a_k t^k of U, n = d - 2:
     c_{e+n} = -sum_k a_k c_{e+k},       e >= 2,
 
 so every count is a fixed combination of c_2..c_{n+1}, which the matrix
-gives.  ``sweep`` emits the whole sequence with n products per term where
-the matrix takes n^2 + n.  ``complexity_term`` finds one far term by
-Fiduccia's method: t^(e-2) mod chi by square-and-multiply on polynomials
-of degree < n, so O(n^2) products per bit of e where powering U takes
-O(n^3).  ``char_poly`` costs about n^4/4 small products, so chi is used
-only where it pays, by one crossover rule (``_chi_pays``): once the last
-level wanted is e >= n^2/4 + n + 8.  Below it a sweep runs the matrix
+gives.  ``iter_counts`` yields the whole sequence with n products per term
+where the matrix takes n^2 + n, holding only the census vector or chi's
+last n counts; ``sweep`` is the list of it.  ``complexity_term`` finds one
+far term by Fiduccia's method: t^(e-2) mod chi by square-and-multiply on
+polynomials of degree < n, so O(n^2) products per bit of e where powering
+U takes O(n^3).  ``char_poly`` costs about n^4/4 small products, so chi is
+used only where it pays, by one crossover rule (``_chi_pays``): once the
+last level wanted is e >= n^2/4 + n + 8.  Below it a sweep runs the matrix
 throughout and one term is its last count; from it on a sweep turns to chi
 after c_{n+1}, and one term is Fiduccia's on those c_2..c_{n+1}.  Measured
 for p = 2 and 5 on ints, a sweep's matrix/chi and one term's sweep/Fiduccia
@@ -34,6 +35,11 @@ time ratios cross 1 at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for
 n = 30; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  ``state``,
 binary powering of U, is only the reference the tests check both paths
 against.  Counts grow to about e * log2(rho) bits, rho the spectral radius.
+
+The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
+e = 1 on they obey the order-(n + 1) recurrence of (t - 1) chi, and
+``term_and_sum`` finds one far pair (c_e, k_e) by Fiduccia's method on
+k_1..k_{n+2}, under the same crossover rule.
 
 The sweep runs on ints for library callers and on exact decimals for the
 CLI: CPython's int-to-str conversion takes time quadratic in the digit
@@ -45,11 +51,12 @@ product ``_apply``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import mul, sub
 
 from .basep import Prime
 from .poincare import build_table
@@ -187,16 +194,19 @@ def char_poly(matrix) -> CharPoly:
     return CharPoly(tuple(reversed(poly)))
 
 
-def _recurrence(matrix: Matrix) -> list[tuple[int, int]]:
-    # the pairs (k, b), b != 0, with U^n = sum b U^k, n = dim U: the
-    # nonzero coefficients of t^n - chi, by Cayley-Hamilton
-    *low, _ = char_poly(matrix).coeffs
-    return [(k, -a) for k, a in enumerate(low) if a]
+def _recurrence(coeffs: Sequence[int]) -> list[int]:
+    # b_0..b_{n-1} with t^n = sum b_k t^k modulo the monic polynomial of
+    # degree n whose coefficients, low first, are given.  For chi,
+    # U^n = sum b_k U^k by Cayley-Hamilton, so c_{e+n} = sum b_k c_{e+k}
+    return [-a for a in coeffs[:-1]]
 
 
-def _power_of_t(j: int, recurrence: list[tuple[int, int]], n: int) -> list[int]:
-    # t^j mod chi, low coefficient first, by square-and-multiply from the top
-    # bit of j; t^n = sum b t^k reduces every degree >= n, the highest first
+def _power_of_t(j: int, recurrence: list[int]) -> list[int]:
+    # t^j mod the polynomial of the recurrence, low coefficient first, by
+    # square-and-multiply from the top bit of j; t^n = sum b_k t^k reduces
+    # every degree >= n, the highest first
+    n = len(recurrence)
+    pairs = [(k, b) for k, b in enumerate(recurrence) if b]
     r = [1]
     for bit in bin(j)[2:]:
         m = len(r)
@@ -210,7 +220,7 @@ def _power_of_t(j: int, recurrence: list[tuple[int, int]], n: int) -> list[int]:
             s.insert(0, 0)
         for top in range(len(s) - 1, n - 1, -1):
             q = s[top]
-            for k, b in recurrence:
+            for k, b in pairs:
                 s[top - n + k] += b * q
         del s[n:]
         r = s
@@ -235,8 +245,32 @@ def complexity_term(p: int, d: int, e: int) -> int:
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
     first = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
-    r = _power_of_t(e - 2, _recurrence(system.matrix), n)
-    return sum(u * c for u, c in zip(r, first))
+    r = _power_of_t(e - 2, _recurrence(char_poly(system.matrix).coeffs))
+    return sum(map(mul, r, first))
+
+
+def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
+    """The pair (c_{d,e}, k_{d,e}), k_{d,e} = c_{d,0} + ... + c_{d,e}: a table's last row.
+
+    Below the crossover rule, from ``sweep(p, d, e)``; from it on, by
+    Fiduccia's method on the recurrence of (t - 1) chi, which k obeys from
+    k_1 on (module docstring), so no sweep runs past c_{n+2}: with
+    r = t^(e-2) modulo (t - 1) chi, k_{e-1} = sum r_i k_{1+i} and
+    k_e = sum r_i k_{2+i}, and c_e is their difference.
+    """
+    if e < 0:
+        raise ValueError("e must be >= 0")
+    n = d - 2
+    if n < 1 or not _chi_pays(n, e):
+        c = sweep(p, d, min(e, 2) if n < 1 else e)
+        return c[-1], sum(c)
+    system = build_system(p, d)
+    k = list(accumulate(sweep(p, d, n + 2, system)))  # k_0..k_{n+2}, by the matrix
+    chi = char_poly(system.matrix).coeffs
+    # (t - 1) chi has coefficient a_{m-1} - a_m at t^m
+    r = _power_of_t(e - 2, _recurrence(tuple(map(sub, (0, *chi), (*chi, 0)))))
+    k_e = sum(map(mul, r, k[2:]))
+    return k_e - sum(map(mul, r, k[1:])), k_e
 
 
 @dataclass(frozen=True)
@@ -262,19 +296,22 @@ class ComplexityReport:
         return len(self.c) - 1
 
 
-def sweep(
+def iter_counts(
     p: int, d: int, emax: int, system: TransferSystem | None = None, number=int
-) -> list:
-    """The counts c_0..c_emax, by one incremental sweep of the recursion.
+) -> Iterator:
+    """The counts c_0..c_emax, yielded one at a time by a sweep of the recursion.
 
+    The arguments are checked when it is called; each count is computed when
+    it is taken, and only the census vector, or chi's last n counts, is held.
     The matrix gives c_2..c_{n+1}, and the later counts too while emax is
     below the crossover of the module docstring; above it chi's recurrence
     gives them.  The sweep only adds and multiplies, so it runs in any
     number type that ints mix with: ``number`` converts c_1, x0 and the
     recurrence's coefficients, and every later count is computed from
-    those.  ``number=decimal.Decimal`` is exact only under a
-    context that cannot round.  ``system`` replaces the one
-    ``build_system(p, d)`` would assemble; it must be for the same (p, d).
+    those.  ``number=decimal.Decimal`` is exact only under a context that
+    cannot round, and it is the context current when each count is taken
+    that counts.  ``system`` replaces the one ``build_system(p, d)`` would
+    assemble; it must be for the same (p, d).
     """
     p = Prime(p)
     if d < 1:
@@ -285,23 +322,40 @@ def sweep(
         raise ValueError(
             f"system is for (p={system.p}, d={system.d}), not (p={p}, d={d})"
         )
-    c = [0] * (emax + 1)
+    return _counts(p, d, emax, system, number)
+
+
+def _counts(p: Prime, d: int, emax: int, system: TransferSystem | None, number) -> Iterator:
+    yield 0
     if emax >= 1:
-        c[1] = number(comb(d + p - 2, p - 1))
-    if d >= 3 and emax >= 2:
-        system = system or build_system(p, d)
-        n = system.dim
-        last = n + 1 if _chi_pays(n, emax) else emax
-        x = [number(v) for v in system.x0]
-        c[2] = sum(map(mul, system.weights, x))
-        for e in range(3, last + 1):
-            x = _apply(system.matrix, x)
-            c[e] = sum(map(mul, system.weights, x))
-        if last < emax:
-            recurrence = [(k - n, number(b)) for k, b in _recurrence(system.matrix)]
-            for e in range(n + 2, emax + 1):
-                c[e] = sum(b * c[e + k] for k, b in recurrence)
-    return c
+        yield number(comb(d + p - 2, p - 1))
+    if d < 3 or emax < 2:
+        for _ in range(2, emax + 1):  # d <= 2: 0 past c_1
+            yield 0
+        return
+    system = system or build_system(p, d)
+    n = system.dim
+    last = n + 1 if _chi_pays(n, emax) else emax
+    x = [number(v) for v in system.x0]
+    recent = deque([sum(map(mul, system.weights, x))], maxlen=n)  # c_{e-n}..c_{e-1}
+    yield recent[0]
+    for _ in range(3, last + 1):
+        x = _apply(system.matrix, x)
+        recent.append(sum(map(mul, system.weights, x)))
+        yield recent[-1]
+    if last < emax:
+        # c_e = sum b_k c_{e-n+k}; zero b_k are kept, so that map runs it in C
+        b = [number(v) for v in _recurrence(char_poly(system.matrix).coeffs)]
+        for _ in range(n + 2, emax + 1):
+            recent.append(sum(map(mul, b, recent)))
+            yield recent[-1]
+
+
+def sweep(
+    p: int, d: int, emax: int, system: TransferSystem | None = None, number=int
+) -> list:
+    """The counts c_0..c_emax as a list: ``list(iter_counts(...))``."""
+    return list(iter_counts(p, d, emax, system, number))
 
 
 def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcx.cli import (
-    EXACT, ENGINE_TERMS, _CHUNK, _sequence_lines, _sequence_report, _write_lines,
+    EXACT, ENGINE_TERMS, _CHUNK, _sequence_counts, _sequence_lines, _write_lines,
     build_parser, decimal_places, decimal_str, main, render_json,
 )
 from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
@@ -395,6 +395,20 @@ def sequence_args(p, d, emax, engine, fmt):
             "--engine", engine, "--format", fmt]
 
 
+def reference_report(p, d, emax, engine):
+    # the counts without the CLI: complexity_sequence's ints for transfer,
+    # the engine's own ints otherwise
+    if engine == "transfer":
+        return complexity_sequence(p, d, emax)
+    return ComplexityReport(p, d, engine, tuple(ENGINE_TERMS[engine](p, d, emax, 10**8)))
+
+
+def sequence_lines(argv):
+    # the lines sequence writes for argv; Decimal counts must be taken under EXACT
+    args = build_parser().parse_args(argv)
+    return _sequence_lines(args, *_sequence_counts(args))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_streamed_sequence_matches_the_printed_one(capsys, fmt):
     # enumerate's ints and transfer's Decimals, emax 0, 1 and 2 (one and two
@@ -407,7 +421,7 @@ def test_streamed_sequence_matches_the_printed_one(capsys, fmt):
         argv = sequence_args(p, d, emax, engine, fmt)
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        report = _sequence_report(build_parser().parse_args(argv))
+        report = reference_report(p, d, emax, engine)
         assert out == printed_sequence(report, fmt), argv
         if fmt == "json":
             assert json.loads(out)["c"] == [str(v) for v in report.c]
@@ -415,35 +429,50 @@ def test_streamed_sequence_matches_the_printed_one(capsys, fmt):
 
 
 def test_streamed_sequence_is_written_in_bounded_chunks():
-    report = _sequence_report(build_parser().parse_args(
-        sequence_args(2, 4, 2000, "transfer", "csv")))
     writes = []
 
     class Sink:
         write = writes.append
 
-    _write_lines(_sequence_lines(report, "csv"), Sink())
+    with decimal.localcontext(EXACT):
+        _write_lines(sequence_lines(sequence_args(2, 4, 2000, "transfer", "csv")), Sink())
     out = "".join(writes)
     longest_line = max(map(len, out.splitlines(keepends=True)))
     assert len(writes) > 20
     assert all(_CHUNK <= len(w) < _CHUNK + longest_line for w in writes[:-1])
-    assert out == printed_sequence(report, "csv")
+    assert out == printed_sequence(complexity_sequence(2, 4, 2000), "csv")
+
+
+def opening_request(fmt):
+    # the benchmark's opening request, about 34 MB of output.  One JSON string
+    # of it peaked near 100 MiB, and holding its counts and sums 15.5 MiB
+    return sequence_args(2, 3, 8384, "transfer", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_streamed_sequence_memory_stays_bounded(fmt):
-    # the benchmark's opening request, about 34 MB of output; one JSON string
-    # of it peaked near 100 MiB
-    report = _sequence_report(build_parser().parse_args(
-        sequence_args(2, 3, 8384, "transfer", fmt)))
-    with open(os.devnull, "w") as sink:
+    lines = sequence_lines(opening_request(fmt))
+    with open(os.devnull, "w") as sink, decimal.localcontext(EXACT):
         tracemalloc.start()
         try:
-            _write_lines(_sequence_lines(report, fmt), sink)
+            _write_lines(lines, sink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_sequence_command_memory_stays_bounded(fmt):
+    # the whole command: parsing, the sweeps, the table's widths and writing
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(opening_request(fmt)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_exact_context_traps_rounding():
@@ -476,18 +505,53 @@ def test_main_restores_the_decimal_context(capsys):
         decimal.setcontext(default)
 
 
-def test_closed_pipe_exits_without_traceback():
-    # about 3 MB of output, far more than a pipe buffers, so the writer is
-    # still writing when the reader goes away after one line
+def frobcx_process(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "frobcx", "sequence", "--p", "2", "--d", "4", "--emax", "2000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"# p=2 d=4")
+    return subprocess.Popen([sys.executable, "-m", "frobcx", *argv],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def assert_exits_quietly_when_closed(proc):
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""  # no traceback, no message
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 3 MB of output, far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away after one line
+    proc = frobcx_process("sequence", "--p", "2", "--d", "4", "--emax", "2000")
+    assert proc.stdout.readline().startswith(b"# p=2 d=4")
+    assert_exits_quietly_when_closed(proc)
+
+
+def test_closed_pipe_mid_stream_exits_without_traceback():
+    # frobcx sequence ... | head -c 100: the reader leaves while the sweep
+    # still yields counts
+    proc = frobcx_process(*sequence_args(2, 4, 3000, "transfer", "csv"))
+    assert proc.stdout.read(100).startswith(b"e,c_e,k_e\n0,0,0\n1,4,4\n")
+    assert_exits_quietly_when_closed(proc)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_sequence_takes_every_count_under_the_exact_context(capsys, fmt):
+    # (2, 4) counts pass 28 digits near e = 35.  A count or sum taken outside
+    # EXACT, in json's second pass or the table's widths too, rounds under
+    # the default context and raises under the narrow trapping one
+    argv = sequence_args(2, 4, 120, "transfer", fmt)
+    expected = printed_sequence(complexity_sequence(2, 4, 120), fmt)
+    default = decimal.getcontext()
+    try:
+        for context in (decimal.Context(),
+                        decimal.Context(prec=7, traps=[decimal.Inexact, decimal.Rounded])):
+            decimal.setcontext(context)
+            settings_before = repr(context)
+            assert run(capsys, *argv) == (0, expected, "")
+            assert decimal.getcontext() is context
+            assert repr(context) == settings_before
+    finally:
+        decimal.setcontext(default)

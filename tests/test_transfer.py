@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcx import cli
-from frobcx.enumeration import count_basis_enumeration
+from frobcx.closedform import closed_form_d3
+from frobcx.enumeration import count_basis_carryvectors, count_basis_enumeration
 from frobcx.transfer import (
     ComplexityReport,
     TransferSystem,
@@ -14,8 +15,10 @@ from frobcx.transfer import (
     build_system,
     complexity_sequence,
     complexity_term,
+    iter_counts,
     state,
     sweep,
+    term_and_sum,
 )
 
 # e = 0, 1 and 2^k - 1, 2^k, 2^k + 1: the bit patterns where powering can slip
@@ -149,6 +152,65 @@ def test_sweep_equals_the_matrix_powers(p, d, emax, faulted):
         assert decimals[3] > complexity_term(p, d, 3)
 
 
+def chi_paths(p, d, emax, levels):
+    # c_e for e in levels by the three count paths that run chi from the
+    # crossover on: the count generator on ints and on Decimals (as strings),
+    # and complexity_term
+    ints = list(iter_counts(p, d, emax))
+    with localcontext(cli.EXACT):
+        decimals = [str(c) for c in iter_counts(p, d, emax, number=Decimal)]
+    return ([ints[e] for e in levels], [decimals[e] for e in levels],
+            [complexity_term(p, d, e) for e in levels])
+
+
+# engines that share no matrix with the transfer recursion check its chi
+# paths: the d = 3 closed form past the crossover e = 9, and carry vectors
+# at d = 4 from its crossover e = 11 (4,096 of them at e = 13)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chi_paths_equal_the_d3_closed_form(p):
+    levels = range(2, 301)
+    expected = [closed_form_d3(p, e) for e in levels]
+    ints, decimals, terms = chi_paths(p, 3, 300, levels)
+    assert ints == terms == expected
+    assert decimals == [str(c) for c in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chi_paths_equal_the_carry_vector_counts(p):
+    levels = range(11, 14)
+    expected = [count_basis_carryvectors(p, 4, e) for e in levels]
+    ints, decimals, terms = chi_paths(p, 4, 13, levels)
+    assert ints == terms == expected
+    assert decimals == [str(c) for c in expected]
+
+
+@st.composite
+def sum_cells(draw):
+    # (p, d, emax), emax often at the crossover's T - 1, T or T + 1
+    p, d = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(min_value=1, max_value=14))
+    if d >= 3 and draw(st.booleans()):
+        return p, d, crossover(d) + draw(st.sampled_from([-1, 0, 1]))
+    return p, d, draw(st.integers(min_value=0, max_value=400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_cells())
+@example((2, 1, 0))
+@example((3, 2, 400))
+@example((2, 3, 8))
+@example((2, 3, 9))
+@example((2, 3, 10))
+@example((5, 14, 55))
+@example((5, 14, 56))
+@example((5, 14, 57))
+@example((7, 14, 400))
+def test_term_and_sum_equal_the_summed_sweep(cell):
+    # the last row of a sequence table, which no sweep gives before row 0
+    p, d, emax = cell
+    c = sweep(p, d, emax)
+    assert term_and_sum(p, d, emax) == (c[-1], sum(c))
+
+
 def test_complexity_term_frozen_values():
     # independently brute-forced before implementation
     expected = {
@@ -174,16 +236,25 @@ def test_complexity_term_degenerate_levels():
         assert complexity_term(3, 1, e) == 0
 
 
-@pytest.mark.parametrize("p, d, e, message", [
+TERM_REFUSALS = [
     (4, 5, 3, "4 is not prime (divisible by 2)"),
     (2, 0, 3, "d must be >= 1"),
     (2, 5, -1, "e must be >= 0"),
     (4, 5, 100, "4 is not prime (divisible by 2)"),
     (4, 2, 10**18, "4 is not prime (divisible by 2)"),
-])
+]
+
+
+@pytest.mark.parametrize("p, d, e, message", TERM_REFUSALS)
 def test_complexity_term_refusals(p, d, e, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         complexity_term(p, d, e)
+
+
+@pytest.mark.parametrize("p, d, e, message", TERM_REFUSALS)
+def test_term_and_sum_refusals(p, d, e, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        term_and_sum(p, d, e)
 
 
 def test_sequence_report_matches_terms():
@@ -210,6 +281,13 @@ def test_sequence_runs_a_given_system():
         sweep(2, 5, 4, system)
     with pytest.raises(ValueError):
         sweep(3, 4, 4, system)
+
+
+def test_count_generator_checks_its_arguments_when_called():
+    system = build_system(2, 4)
+    for args in [(4, 4, 3), (2, 0, 3), (2, 4, -1), (2, 5, 4, system), (3, 4, 4, system)]:
+        with pytest.raises(ValueError):
+            iter_counts(*args)  # before any count is taken
 
 
 def test_report_validation():
