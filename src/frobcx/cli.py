@@ -156,8 +156,13 @@ ENGINES = ("auto", *ENGINE_TERMS)
 
 def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str:
     if engine == "auto":
+        limit = min(AUTO_ENUMERATE_LIMIT, guard)
+        # d >= 2 has at least p^emax compositions: once its bit length alone
+        # passes the limit's, choose without forming p^emax
+        if d >= 2 and emax >= 1 and emax * (p.bit_length() - 1) >= limit.bit_length():
+            return "transfer"
         total = composition_count(p**emax - 1, d) if emax >= 1 else 0
-        return "enumerate" if total <= min(AUTO_ENUMERATE_LIMIT, guard) else "transfer"
+        return "enumerate" if total <= limit else "transfer"
     if engine == "closed" and d != 3:
         raise ValueError("engine 'closed' applies to d = 3 only")
     if engine == "carry" and d < 3:

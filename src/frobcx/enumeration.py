@@ -15,9 +15,11 @@ top.  This module counts them two independent ways:
   Prefixes with the same degree left and the same truncated sums (capped
   at p^e1) have the same completions, so it counts distinct prefix states
   rather than compositions, and counts the last free coordinate in closed
-  form.  Its cost is the number of distinct states times O(e^2).  It knows
-  nothing of carries, so it stays the assumption-free reference the
-  structured engines are checked against.
+  form.  Each state's successors are zipped in C from one repeated
+  period per level, so its cost is e column entries and one table update
+  per successor of each state, plus O(e^2) per distinct sums for the
+  last coordinate.  It knows nothing of carries, so it stays the
+  assumption-free reference the structured engines are checked against.
 
 * ``count_basis_carryvectors`` sums, over all possible interior carry
   vectors, the number of digit matrices realizing them.  Each digit column
@@ -29,7 +31,9 @@ top.  This module counts them two independent ways:
 
 from __future__ import annotations
 
-from itertools import product
+from collections.abc import Callable
+from functools import partial
+from itertools import cycle, product, repeat
 from math import comb
 
 from .basep import ExponentVector, Prime
@@ -64,15 +68,16 @@ def is_basis_monomial(v: ExponentVector) -> bool:
     return True
 
 
-def _count_last_coordinate(rem: int, sums: tuple[int, ...], pw: list[int]) -> int:
-    """Count m in [0, rem] with (m mod pw[t]) + sums[t] >= pw[t] for every t.
+def _last_coordinate_counter(sums: tuple[int, ...], pw: list[int]) -> Callable[[int], int]:
+    """The function n -> #{m in [0, n) : (m mod pw[t]) + sums[t] >= pw[t] for every t}.
 
     ``pw`` is [p, p^2, ..., p^(e-1)] and each ``sums[t]`` lies in
     [0, pw[t]].  Only m mod p^(e-1) matters, so whole periods of p^(e-1)
     each hold the same number of accepted m.  For m below p^k, level k
     asks m >= p^k - sums[k-1] and the lower levels see only m mod p^(k-1),
     so the count over [0, n) peels one base-p block per level: O(e) per
-    count, O(e^2) with the per-level counts it needs.
+    count.  The per-level counts it needs depend on ``sums`` alone and
+    take O(e^2) to build, once per counter.
     """
     p = pw[0]
     low = [q - s for q, s in zip(pw, sums)]
@@ -94,7 +99,7 @@ def _count_last_coordinate(rem: int, sums: tuple[int, ...], pw: list[int]) -> in
     for k in range(1, len(pw) + 1):
         below.append(accepted(k - 1, low[k - 1]))
         whole.append(p * whole[k - 1] - below[k])
-    return accepted(len(pw), rem + 1)
+    return partial(accepted, len(pw))
 
 
 def count_basis_enumeration(
@@ -114,10 +119,14 @@ def count_basis_enumeration(
     pass depend only on the degree left and on each truncated sum, and a
     sum that has reached p^e1 stays at or above it, so it is capped there.
     The first d-2 coordinates are added one at a time to a table
-    {(degree left, capped sums): number of prefixes}; the values of the
-    last free coordinate that pass are then counted in closed form for
-    each entry.  Cost: the number of distinct states times O(e^2), where
-    the number of compositions bounds the states.
+    {(degree left, *capped sums): number of prefixes}.  A state with rem
+    left has rem + 1 successors, whose sums at each level repeat with
+    period p^e1, so their keys are zipped in C from one cycled period per
+    level.  The values of the last free coordinate that pass are then
+    counted in closed form, from tables built once per distinct sums.
+    Cost: e column entries and one table update per successor of each
+    state, plus O(e^2) per distinct sums; the number of compositions
+    bounds the states.
     """
     p = Prime(p)
     if d < 1:
@@ -137,17 +146,25 @@ def count_basis_enumeration(
         return 0
 
     pw = [p**t for t in range(1, e)]
-    states = {(n_total, (0,) * (e - 1)): 1}
+    states = {(n_total, *[0] * (e - 1)): 1}
     for _ in range(d - 2):
-        grown: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (rem, sums), n in states.items():
-            for a in range(rem + 1):
-                key = (rem - a, tuple(min(s + a % q, q) for s, q in zip(sums, pw)))
-                grown[key] = grown.get(key, 0) + n
+        grown: dict[tuple[int, ...], int] = {}
+        get = grown.get
+        for (rem, *sums), n in states.items():
+            # level t of the successors over a = 0..rem is min(s + a mod q, q):
+            # the period s, ..., q - 1 and then s caps q, repeated
+            columns = [cycle([*range(s, q), *repeat(q, s)]) for s, q in zip(sums, pw)]
+            for key in zip(range(rem, -1, -1), *columns):
+                grown[key] = get(key, 0) + n
         states = grown
-    return sum(
-        n * _count_last_coordinate(rem, sums, pw) for (rem, sums), n in states.items()
-    )
+    by_sums: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for key, n in states.items():
+        by_sums.setdefault(key[1:], []).append((key[0], n))
+    total = 0
+    for sums, entries in by_sums.items():
+        count = _last_coordinate_counter(sums, pw)
+        total += sum(n * count(rem + 1) for rem, n in entries)
+    return total
 
 
 def count_basis_carryvectors(

@@ -13,10 +13,13 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobcx.basep import Prime
 from frobcx.cli import (
-    EXACT, ENGINE_TERMS, _CHUNK, _sequence_counts, _sequence_lines, _write_lines,
-    build_parser, decimal_places, decimal_str, main, render_json,
+    AUTO_ENUMERATE_LIMIT, EXACT, ENGINE_TERMS, _CHUNK, _resolve_engine, _sequence_counts,
+    _sequence_lines, _write_lines, build_parser, decimal_places, decimal_str, main,
+    render_json,
 )
+from frobcx.enumeration import composition_count
 from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
 from fractions import Fraction
 
@@ -104,6 +107,24 @@ def test_sequence_auto_picks_enumerate_when_cheap(capsys):
     )
     assert code == 0
     assert json.loads(out)["engine"] == "transfer"
+
+
+def test_auto_engine_decides_a_huge_emax_without_its_power():
+    # 2^(10^20) would never be formed; at least p^emax compositions for d >= 2
+    assert _resolve_engine("auto", Prime(2), 4, 10**20, 10**8) == "transfer"
+    assert _resolve_engine("auto", Prime(1009), 2, 10**20, 10**8) == "transfer"
+
+
+def test_auto_engine_choice_equals_the_composition_count_rule():
+    for p in (2, 3, 5, 7, 1009):
+        for d in range(1, 9):
+            for emax in range(0, 26):
+                for guard in (0, 1, 3, 4, 999, 10**4, AUTO_ENUMERATE_LIMIT, 10**8):
+                    limit = min(AUTO_ENUMERATE_LIMIT, guard)
+                    total = composition_count(p**emax - 1, d) if emax >= 1 else 0
+                    expected = "enumerate" if total <= limit else "transfer"
+                    got = _resolve_engine("auto", Prime(p), d, emax, guard)
+                    assert got == expected, (p, d, emax, guard)
 
 
 def test_sequence_enumerates_a_deep_cell(capsys):

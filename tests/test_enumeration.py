@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frobcx.basep import ExponentVector, carry_sequence
 from frobcx.enumeration import (
+    _last_coordinate_counter,
     composition_count,
     count_basis_carryvectors,
     count_basis_enumeration,
@@ -117,6 +118,73 @@ def test_fast_counter_matches_naive_walk():
 def test_counter_matches_naive_walk_on_small_cells(p, d, e):
     assume(composition_count(p**e - 1, d) <= 2 * 10**4)
     assert count_basis_enumeration(p, d, e) == naive_count(p, d, e)
+
+
+def reference_prefix_count(p, d, e):
+    """count_basis_enumeration's states, grown one successor per value.
+
+    The reference for the engine's zipped layers: each value a of the next
+    coordinate builds its key tuple in Python and updates the table on its
+    own, and each state's last coordinate is counted on its own, not once
+    per distinct sums.
+    """
+    n_total = p**e - 1
+    if e == 1:
+        return composition_count(n_total, d)
+    if d == 1:
+        return 0
+    pw = [p**t for t in range(1, e)]
+    states = {(n_total, (0,) * (e - 1)): 1}
+    for _ in range(d - 2):
+        grown = {}
+        for (rem, sums), n in states.items():
+            for a in range(rem + 1):
+                key = (rem - a, tuple(min(s + a % q, q) for s, q in zip(sums, pw)))
+                grown[key] = grown.get(key, 0) + n
+        states = grown
+    return sum(
+        n * _last_coordinate_counter(sums, pw)(rem + 1) for (rem, sums), n in states.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=7),
+)
+def test_counter_matches_the_per_value_prefix_loop(p, d, e):
+    assume(composition_count(p**e - 1, d) <= 2 * 10**5)
+    assert count_basis_enumeration(p, d, e) == reference_prefix_count(p, d, e)
+
+
+@pytest.mark.parametrize("p, d, e", [
+    # states with rem < p^(e-1) take less than one period of the top column
+    (3, 5, 3), (2, 5, 4), (7, 4, 2),
+    # d = 3: the one layer spans p periods of p^(e-1)
+    (5, 3, 3), (2, 3, 9),
+    # most prefixes reach every cap p^e1
+    (2, 10, 3), (2, 6, 4),
+    # 839 layers of states with rem <= 3
+    (2, 841, 2),
+])
+def test_counter_matches_the_per_value_prefix_loop_on_fixed_cells(p, d, e):
+    assert count_basis_enumeration(p, d, e) == reference_prefix_count(p, d, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_last_coordinate_counter_matches_a_walk_over_m(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    e = data.draw(st.integers(min_value=2, max_value=6))
+    pw = [p**t for t in range(1, e)]
+    # a capped sum (s = q) passes its level for every m; s = 0 passes none
+    sums = tuple(data.draw(st.one_of(st.just(q), st.just(0), st.integers(0, q))) for q in pw)
+    rem = data.draw(st.integers(min_value=0, max_value=min(3 * pw[-1], 4000)))
+    expected = sum(
+        1 for m in range(rem + 1) if all(m % q + s >= q for s, q in zip(sums, pw))
+    )
+    assert _last_coordinate_counter(sums, pw)(rem + 1) == expected
 
 
 def test_deep_cell_counts_without_recursion():
