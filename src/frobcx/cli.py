@@ -126,13 +126,6 @@ def _guard_value(args, dest: str, default: int) -> int:
 
 # --- sequence engines -------------------------------------------------------
 
-def _levels(p: Prime, d: int, emax: int, count) -> Iterator[int]:
-    # c_0 and c_1 from the sweep; count(e) gives each level e >= 2 when the
-    # caller reaches it
-    yield from sweep(p, d, min(emax, 1))
-    yield from map(count, range(2, emax + 1))
-
-
 # Exact decimal arithmetic: any rounding raises instead of printing a wrong
 # digit.  Transfer counts are swept as Decimals under it, because str of a
 # Decimal takes linear time and str of an int quadratic time in its digits.
@@ -140,16 +133,18 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 # engine -> terms(p, d, emax, guard): the counts c_0..c_emax.  transfer
 # returns a new sweep on Decimals, exact only where each count is taken
-# under EXACT; the others yield ints level by level, so verify reports each
-# level before a guard can stop the next one.
+# under EXACT; the others yield c_0 = 0 and then one int per level e >= 1,
+# so verify reports each level before a guard can stop the next one.
 ENGINE_TERMS = {
     "transfer": lambda p, d, emax, guard: iter_counts(p, d, emax, number=Decimal),
     "enumerate": lambda p, d, emax, guard: chain((0,), (
         count_basis_enumeration(p, d, e, max_compositions=guard)
         for e in range(1, emax + 1))),
-    "carry": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: (
-        count_basis_carryvectors(p, d, e, max_carryvectors=guard))),
-    "closed": lambda p, d, emax, guard: _levels(p, d, emax, lambda e: closed_form_d3(p, e)),
+    "carry": lambda p, d, emax, guard: chain((0,), (
+        count_basis_carryvectors(p, d, e, max_carryvectors=guard)
+        for e in range(1, emax + 1))),
+    "closed": lambda p, d, emax, guard: chain((0,), (
+        closed_form_d3(p, e) for e in range(1, emax + 1))),
 }
 ENGINES = ("auto", *ENGINE_TERMS)
 
@@ -165,10 +160,6 @@ def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str
         return "enumerate" if total <= limit else "transfer"
     if engine == "closed" and d != 3:
         raise ValueError("engine 'closed' applies to d = 3 only")
-    if engine == "carry" and d < 3:
-        raise ValueError(
-            "engine 'carry' needs d >= 3; use 'transfer' or 'enumerate' for small d"
-        )
     return engine
 
 
@@ -346,16 +337,12 @@ def _cmd_verify(args) -> int:
             streams = {
                 "enumerate": ENGINE_TERMS["enumerate"](p, d, emax, guard),
                 "transfer": sweep(p, d, emax, system),
+                "carry": ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS),
             }
-            if d >= 3:
-                streams["carry"] = ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS)
             if d == 3:
                 streams["closed"] = ENGINE_TERMS["closed"](p, d, emax, None)
             for e, counts in enumerate(islice(zip(*streams.values()), 1, None), 1):
                 values = dict(zip(streams, counts))
-                if e < 2:  # carry and closed take c_0 and c_1 from the sweep
-                    values.pop("carry", None)
-                    values.pop("closed", None)
                 c = values["enumerate"]
                 if any(v != c for v in values.values()):
                     detail = " ".join(f"{k}={v}" for k, v in sorted(values.items()))

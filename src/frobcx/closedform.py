@@ -5,9 +5,10 @@ matrix [p(p+1)/2] and the counts have the product form
 
     c_{3,e} = p^e (p-1)^2 (p+1)^{e-2} / 2^e,    e >= 2,
 
-so the growth rate is exactly p(p+1)/2.  For general d >= 3 a structured
-subfamily of basis monomials can be tallied exactly: tagging it by an
-index i with base-p digits (c_{e-1} ... c_1 c_0) and weight
+after c_{3,1} = comb(p+1, 2), so the growth rate is exactly p(p+1)/2.
+For general d >= 3 a structured subfamily of basis monomials can be
+tallied exactly: tagging it by an index i with base-p digits
+(c_{e-1} ... c_1 c_0) and weight
 
     xi_e(i) = (p - 1 - c_{e-1}) (c_{e-2} + 1) ... (c_1 + 1) c_0
 
@@ -32,10 +33,12 @@ MAX_TERMS = 10**7
 
 
 def closed_form_d3(p: int, e: int) -> int:
-    """c_{3,e} = p^e (p-1)^2 (p+1)^{e-2} / 2^e for e >= 2, exactly."""
+    """c_{3,e} exactly: p^e (p-1)^2 (p+1)^{e-2} / 2^e for e >= 2, comb(p+1, 2) at e = 1."""
     p = Prime(p)
-    if e < 2:
-        raise ValueError("closed form holds for e >= 2; c_{3,1} = comb(p+1, 2)")
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    if e == 1:  # every monomial of degree p - 1 qualifies
+        return p * (p + 1) // 2
     num = p**e * (p - 1) ** 2 * (p + 1) ** (e - 2)
     den = 2**e
     assert num % den == 0, "closed form must be an integer"

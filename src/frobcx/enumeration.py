@@ -26,7 +26,9 @@ top.  This module counts them two independent ways:
   with carry-in j and carry-out i can be chosen in M_d(p*i - j + p - 1)
   ways, where M_d is the coefficient table of (1 + t + ... + t^{p-1})^d,
   so the count is a product of table lookups summed over (d_0, ...,
-  d_{e-2}) in [1, d-2]^{e-1}.
+  d_{e-2}) in [1, d-2]^{e-1}.  At e = 1 the one empty carry vector leaves
+  M_d(p - 1) = comb(d+p-2, p-1); for d <= 2 and e >= 2 no carry lies in
+  [1, d-2], so the count is 0.
 """
 
 from __future__ import annotations
@@ -179,19 +181,17 @@ def count_basis_carryvectors(
     Each interior carry d_n must lie in [1, d-2]: positive because basis
     monomials are exactly those with positive interior carries, at most
     d-2 because d digits below p plus a carry below d-1 stay below
-    (d-1)p + p - 1.  Cost is (d-2)^(e-1) products of e table lookups,
-    guarded by ``max_carryvectors``.
+    (d-1)p + p - 1.  At e = 1 the empty carry vector is the only one, and
+    its one column gives comb(d+p-2, p-1); for d <= 2 and e >= 2 the range
+    is empty and the sum is 0.  Cost is max(d-2, 0)^(e-1) products of e
+    table lookups, guarded by ``max_carryvectors``.
     """
     p = Prime(p)
-    if d < 3:
-        raise ValueError(
-            "carry-vector counting needs d >= 3 (for d <= 2 the count is 0 for e >= 2)"
-        )
-    if e < 2:
-        raise ValueError(
-            "carry-vector counting needs e >= 2 (at e = 1 the count is comb(d+p-2, p-1))"
-        )
-    needed = (d - 2) ** (e - 1)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    needed = max(d - 2, 0) ** (e - 1)
     if needed > max_carryvectors:
         raise GuardExceeded("carry-vector sum", needed, max_carryvectors)
 

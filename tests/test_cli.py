@@ -19,7 +19,7 @@ from frobcx.cli import (
     _sequence_lines, _write_lines, build_parser, decimal_places, decimal_str, main,
     render_json,
 )
-from frobcx.enumeration import composition_count
+from frobcx.enumeration import composition_count, count_basis_carryvectors
 from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
 from fractions import Fraction
 
@@ -172,7 +172,7 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
     assert run(capsys, "sequence", "--p", "4", "--d", "3", "--emax", "2")[0] == 1
     assert run(capsys, "sequence", "--p", "2", "--d", "0", "--emax", "2")[0] == 1
     assert run(capsys, "sequence", "--p", "2", "--d", "2", "--emax", "2",
-               "--engine", "carry")[0] == 1
+               "--engine", "closed")[0] == 1
     assert run(capsys, "sequence", "--p", "2", "--d", "4", "--emax", "2",
                "--engine", "closed")[0] == 1
     assert run(capsys, "complexity", "--p", "2", "--d", "2")[0] == 1
@@ -253,17 +253,27 @@ def test_verify_catches_injected_fault(capsys):
 
 
 def test_verify_lists_only_engines_that_computed_the_level(capsys, monkeypatch):
-    # carry and closed take c_0 and c_1 from the sweep, so they check nothing at e = 1
-    monkeypatch.setattr("frobcx.cli._VERIFY_GRID", ((2, range(3, 5), 2),))
+    # every engine counts every level itself; closed applies to d = 3 only
+    monkeypatch.setattr("frobcx.cli._VERIFY_GRID", ((2, range(2, 5), 2),))
     code, out, _ = run(capsys, "verify")
     assert code == 0
     listed = {tuple(line.split()[2:4]): line.split()[-1] for line in out.splitlines()[:-1]}
     assert listed == {
-        ("d=3", "e=1"): "[enumerate/transfer]",
+        ("d=2", "e=1"): "[carry/enumerate/transfer]",
+        ("d=2", "e=2"): "[carry/enumerate/transfer]",
+        ("d=3", "e=1"): "[carry/closed/enumerate/transfer]",
         ("d=3", "e=2"): "[carry/closed/enumerate/transfer]",
-        ("d=4", "e=1"): "[enumerate/transfer]",
+        ("d=4", "e=1"): "[carry/enumerate/transfer]",
         ("d=4", "e=2"): "[carry/enumerate/transfer]",
     }
+
+
+def test_verify_checks_the_carry_engine_at_the_first_level(capsys, monkeypatch):
+    monkeypatch.setattr("frobcx.cli.count_basis_carryvectors", lambda p, d, e, **guard: (
+        count_basis_carryvectors(p, d, e, **guard) + (e == 1)))
+    code, out, _ = run(capsys, "verify", "--quiet")
+    assert code == 3
+    assert out == "MISMATCH p=2 d=1 e=1: carry=2 enumerate=1 transfer=1\n"
 
 
 def test_twisted_demo_deterministic(capsys):
@@ -511,7 +521,7 @@ def test_main_restores_the_decimal_context(capsys):
     default = decimal.getcontext()
     runs = [(("sequence", "--p", "2", "--d", "4", "--emax", "30", "--engine", "transfer"), 0),
             (("sequence", "--p", "4", "--d", "4", "--emax", "3"), 1),
-            (("sequence", "--p", "2", "--d", "2", "--emax", "3", "--engine", "carry"), 1),
+            (("sequence", "--p", "2", "--d", "4", "--emax", "3", "--engine", "closed"), 1),
             (("sequence", "--p", "2", "--d", "6", "--emax", "8", "--engine", "enumerate",
               "--max-compositions", "1000"), 2)]
     try:

@@ -5,7 +5,10 @@ captured from the code before the CLI was rewired onto the library's
 sequence, complexity and engine code.  The changed ``complexity`` and
 ``segre`` records were captured again when the radius enclosure moved to
 shifted inverse iteration, which prints other endpoints and iteration
-counts; a second test checks every printed interval against mpmath.
+counts; a second test checks every printed interval against mpmath.  The
+``carry`` records at d <= 2 and the listings of ``verify`` were captured
+again when the carry and closed engines began to count the first level
+themselves; a third test checks those carry records against ``enumerate``.
 Every record must still match byte for byte.  Run ``python
 tests/test_cli_golden.py`` to rewrite the file from the current code,
 which is only right when an output change is intended.
@@ -182,6 +185,21 @@ def test_refused_parse_leaves_the_defaults():
     for refused in (["nonsense"], argv + ["--tol", "abc"], argv + ["--format", "csv"]):
         assert run(refused, {})[0] == 1
         assert run(argv, {}) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
+def test_carry_below_three_variables_prints_what_enumerate_prints():
+    # carry counts every level for every d: at d <= 2 its records are the
+    # enumerate engine's output with the engine name swapped
+    records = [r for r in json.loads(DATA.read_text())
+               if r["argv"][0] == "sequence" and "carry" in r["argv"]
+               and int(r["argv"][r["argv"].index("--d") + 1]) <= 2]
+    assert len(records) == 24
+    for r in records:
+        argv = [a.replace("carry", "enumerate") for a in r["argv"]]
+        code, out, err = run(argv, r["env"])
+        named = out.replace("engine=enumerate", "engine=carry").replace(
+            '"engine": "enumerate"', '"engine": "carry"')
+        assert (r["code"], r["stdout"], r["stderr"]) == (code, named, err) == (0, named, ""), argv
 
 
 def _printed_intervals(fmt, out):

@@ -31,10 +31,15 @@ def test_closed_form_d3_frozen_values():
 
 
 def test_closed_form_d3_validates():
-    with pytest.raises(ValueError):
-        closed_form_d3(2, 1)
-    with pytest.raises(ValueError):
-        closed_form_d3(6, 3)
+    for p, e in ((2, 0), (3, -1), (6, 3), (1, 2)):
+        with pytest.raises(ValueError):
+            closed_form_d3(p, e)
+
+
+def test_closed_form_d3_first_level():
+    # every monomial of degree p - 1 in three variables is a basis monomial
+    for p in (2, 3, 5, 7, 101):
+        assert closed_form_d3(p, 1) == comb(p + 1, 2) == count_basis_enumeration(p, 3, 1)
 
 
 def test_closed_form_matches_both_engines():

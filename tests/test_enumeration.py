@@ -1,4 +1,5 @@
 from collections.abc import Iterator
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -217,10 +218,28 @@ def test_guards_trip_before_iterating():
 
 
 def test_carryvectors_validates_domain():
-    with pytest.raises(ValueError):
-        count_basis_carryvectors(2, 2, 3)
-    with pytest.raises(ValueError):
-        count_basis_carryvectors(2, 4, 1)
+    for p, d, e in ((2, 4, 0), (3, 2, -1), (2, 0, 2), (5, -1, 1), (4, 4, 2), (1, 3, 2)):
+        with pytest.raises(ValueError):
+            count_basis_carryvectors(p, d, e)
+
+
+def test_carryvectors_match_enumeration_on_every_level():
+    # e = 1 is the empty carry vector, comb(d+p-2, p-1); for d <= 2 and
+    # e >= 2 no interior carry lies in [1, d-2], so the sum is 0
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for d in range(1, 8):
+            for e in range(1, 5):
+                if composition_count(p**e - 1, d) > 2 * 10**6:
+                    continue
+                expected = count_basis_enumeration(p, d, e)
+                assert count_basis_carryvectors(p, d, e) == expected, (p, d, e)
+                if e == 1:
+                    assert expected == comb(d + p - 2, p - 1)
+                elif d <= 2:
+                    assert expected == 0
+                checked += 1
+    assert checked == 92
 
 
 def composition_strategy(p, e, d):
