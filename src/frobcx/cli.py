@@ -9,11 +9,12 @@ segre       complexity report with closed-form expression where known
 verify      cross-check all engines and bounds over a grid
 twisted     demonstrations of the twisted operator algebra
 
-sequence --engine transfer (and auto, when it picks transfer) sweeps the
-counts as exact decimals, so that printing them takes time linear in their
-digits; the output is byte-identical to printing integer counts.  It writes
-each count as the sweep yields it and holds no list of them, so its memory
-stays bounded however long the answer.
+Every command runs under EXACT, a decimal context in which any rounding
+raises.  sequence --engine transfer (and auto, when it picks transfer)
+sweeps the counts as exact decimals, which print in time linear in their
+digits and byte-identical to integer counts; it writes each as the sweep
+yields it and holds no list of them, so its memory stays bounded.  verify
+compares these same Decimal counts, taken from the same engine table.
 
 Exit codes: 0 success, 1 usage or validation error, 2 iteration guard
 exceeded, 3 verification mismatch.
@@ -21,7 +22,8 @@ exceeded, 3 verification mismatch.
 Iteration guards for the enumeration engines default to 10^8 and can be
 set by --max-compositions / --max-carryvectors or the environment
 variables FROBCX_MAX_COMPOSITIONS / FROBCX_MAX_CARRYVECTORS (flags win);
-negative values are refused.
+negative values are refused.  verify has no --max-carryvectors flag, so
+FROBCX_MAX_CARRYVECTORS alone sets its carry guard.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
 from .transfer import (
-    TransferSystem, build_system, complexity_term, iter_counts, sweep, term_and_sum,
+    TransferSystem, build_system, complexity_term, iter_counts, term_and_sum,
 )
 from .twistedop import (
     _identity_chain,
@@ -109,7 +111,7 @@ def _guard_value(args, dest: str, default: int) -> int:
     ``dest`` names both: max_compositions is --max-compositions and
     FROBCX_MAX_COMPOSITIONS.  Negative guards are refused.
     """
-    value, source = getattr(args, dest), "--" + dest.replace("_", "-")
+    value, source = getattr(args, dest, None), "--" + dest.replace("_", "-")
     if value is None:
         source = "FROBCX_" + dest.upper()
         raw = os.environ.get(source)
@@ -124,6 +126,12 @@ def _guard_value(args, dest: str, default: int) -> int:
     return value
 
 
+def _guards(args) -> dict[str, int]:
+    """The guard of each engine that has one, by ``_guard_value``."""
+    return {"enumerate": _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS),
+            "carry": _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)}
+
+
 # --- sequence engines -------------------------------------------------------
 
 # Exact decimal arithmetic: any rounding raises instead of printing a wrong
@@ -131,9 +139,9 @@ def _guard_value(args, dest: str, default: int) -> int:
 # Decimal takes linear time and str of an int quadratic time in its digits.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
-# engine -> terms(p, d, emax, guard): the counts c_0..c_emax.  transfer
-# returns a new sweep on Decimals, exact only where each count is taken
-# under EXACT; the others yield c_0 = 0 and then one int per level e >= 1,
+# engine -> terms(p, d, emax, guard): the counts c_0..c_emax, for sequence
+# and verify.  transfer returns a new sweep on Decimals, exact as main takes
+# it under EXACT; the others yield c_0 = 0 and then one int per level e >= 1,
 # so verify reports each level before a guard can stop the next one.
 ENGINE_TERMS = {
     "transfer": lambda p, d, emax, guard: iter_counts(p, d, emax, number=Decimal),
@@ -175,11 +183,9 @@ def _sequence_counts(args) -> tuple[str, Callable[[], Iterable]]:
         raise ValueError("d must be >= 1")
     if args.emax < 0:
         raise ValueError("emax must be >= 0")
-    comp_guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
-    carry_guard = _guard_value(args, "max_carryvectors", DEFAULT_MAX_CARRYVECTORS)
-    engine = _resolve_engine(args.engine, p, args.d, args.emax, comp_guard)
-    guard = carry_guard if engine == "carry" else comp_guard
-    counts = partial(ENGINE_TERMS[engine], p, args.d, args.emax, guard)
+    guards = _guards(args)
+    engine = _resolve_engine(args.engine, p, args.d, args.emax, guards["enumerate"])
+    counts = partial(ENGINE_TERMS[engine], p, args.d, args.emax, guards.get(engine))
     if engine != "transfer":
         terms = list(counts())
         counts = lambda: terms
@@ -199,9 +205,9 @@ def _sequence_lines(args, engine: str, counts: Callable[[], Iterable]) -> Iterat
     Each count becomes a string once, as its line is made, and k_e is summed
     as it goes; JSON lists the k_e after every c_e, so it runs the counts
     twice.  Decimal counts are exact only if the lines are taken under
-    ``EXACT``.  JSON is laid out as ``render_json`` lays out the same dict,
-    without an encoder: its only strings are an engine name and digit
-    strings, which need no escaping.
+    ``EXACT``, as ``main`` takes them.  JSON is laid out as ``render_json``
+    lays out the same dict, without an encoder: its only strings are an
+    engine name and digit strings, which need no escaping.
     """
     p, d, emax, fmt = args.p, args.d, args.emax, args.format
     if fmt == "json":
@@ -253,11 +259,7 @@ def _write_lines(lines: Iterator[str], out) -> None:
 
 
 def _cmd_sequence(args) -> int:
-    engine, counts = _sequence_counts(args)
-    # every pass of a Decimal sweep, and every k_e sum, runs as its lines are
-    # written: outside EXACT they would round silently at 28 digits
-    with localcontext(EXACT):
-        _write_lines(_sequence_lines(args, engine, counts), sys.stdout)
+    _write_lines(_sequence_lines(args, *_sequence_counts(args)), sys.stdout)
     return 0
 
 
@@ -327,20 +329,16 @@ def _faulted(system: TransferSystem) -> TransferSystem:
 
 
 def _cmd_verify(args) -> int:
-    guard = _guard_value(args, "max_compositions", DEFAULT_MAX_COMPOSITIONS)
-    points = 0
-    bound_checks = 0
+    guards = _guards(args)
+    points = bound_checks = 0
     for p, d_range, emax in _VERIFY_GRID:
         for d in d_range:
-            # transfer is called directly so that it can run the faulted system
-            system = _faulted(build_system(p, d)) if args.inject_fault and d >= 3 else None
-            streams = {
-                "enumerate": ENGINE_TERMS["enumerate"](p, d, emax, guard),
-                "transfer": sweep(p, d, emax, system),
-                "carry": ENGINE_TERMS["carry"](p, d, emax, DEFAULT_MAX_CARRYVECTORS),
-            }
-            if d == 3:
-                streams["closed"] = ENGINE_TERMS["closed"](p, d, emax, None)
+            streams = {engine: terms(p, d, emax, guards.get(engine))
+                       for engine, terms in ENGINE_TERMS.items()
+                       if engine != "closed" or d == 3}
+            if args.inject_fault and d >= 3:
+                streams["transfer"] = iter_counts(
+                    p, d, emax, _faulted(build_system(p, d)), number=Decimal)
             for e, counts in enumerate(islice(zip(*streams.values()), 1, None), 1):
                 values = dict(zip(streams, counts))
                 c = values["enumerate"]
@@ -464,9 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # counts and decimal endpoints may pass Python's int/str digit limit;
-        # it is lifted for the command only, after argument parsing
+        # it is lifted for the command only, after argument parsing.  Decimal
+        # counts and sums, taken as lines are made, would round outside EXACT
         sys.set_int_max_str_digits(0)
-        return args.func(args)
+        with localcontext(EXACT):
+            return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except ValueError as exc:

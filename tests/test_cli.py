@@ -194,6 +194,9 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
             assert (code, out, err) == (1, "", f"error: {name} must be >= 0, got -1\n")
     code, out, err = run(capsys, "verify", "--quiet", "--max-compositions", "-5")
     assert (code, out, err) == (1, "", "error: --max-compositions must be >= 0, got -5\n")
+    monkeypatch.setenv("FROBCX_MAX_CARRYVECTORS", "-1")
+    code, out, err = run(capsys, "verify", "--quiet")
+    assert (code, out, err) == (1, "", "error: FROBCX_MAX_CARRYVECTORS must be >= 0, got -1\n")
 
 
 def test_guard_exit_2(capsys):
@@ -241,15 +244,39 @@ def test_guard_falls_back_when_the_flag_is_left_out(capsys, monkeypatch):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--quiet")
-    assert code == 0
-    assert out == "VERIFY PASS: 52 grid points, 74 bound checks\n"
+    # verify's counts reach seven digits: it passes under a three-digit
+    # context that traps rounding only because main runs it under EXACT
+    default = decimal.getcontext()
+    try:
+        for context in (default, decimal.Context(prec=3, traps=[decimal.Rounded])):
+            decimal.setcontext(context)
+            assert run(capsys, "verify", "--quiet") == (
+                0, "VERIFY PASS: 52 grid points, 74 bound checks\n", "")
+    finally:
+        decimal.setcontext(default)
 
 
 def test_verify_catches_injected_fault(capsys):
     code, out, _ = run(capsys, "verify", "--inject-fault", "--quiet")
     assert code == 3
-    assert "MISMATCH" in out
+    assert out == "MISMATCH p=2 d=3 e=3: carry=3 closed=3 enumerate=3 transfer=4\n"
+
+
+def test_verify_compares_the_transfer_counts_of_the_engine_table(capsys, monkeypatch):
+    # the stream that sequence --engine transfer prints, bumped at one level
+    transfer = ENGINE_TERMS["transfer"]
+    monkeypatch.setitem(ENGINE_TERMS, "transfer", lambda p, d, emax, guard: (
+        c + (d == 4 and e == 2) for e, c in enumerate(transfer(p, d, emax, guard))))
+    code, out, _ = run(capsys, "verify", "--quiet")
+    assert code == 3
+    assert out == "MISMATCH p=2 d=4 e=2: carry=4 enumerate=4 transfer=5\n"
+
+
+def test_verify_obeys_the_carry_guard_variable(capsys, monkeypatch):
+    # verify has no --max-carryvectors flag; the variable sets its carry guard
+    monkeypatch.setenv("FROBCX_MAX_CARRYVECTORS", "0")
+    assert run(capsys, "verify", "--quiet") == (
+        2, "", "guard exceeded: carry-vector sum: 1 iterations needed, guard is 0\n")
 
 
 def test_verify_lists_only_engines_that_computed_the_level(capsys, monkeypatch):
@@ -523,7 +550,9 @@ def test_main_restores_the_decimal_context(capsys):
             (("sequence", "--p", "4", "--d", "4", "--emax", "3"), 1),
             (("sequence", "--p", "2", "--d", "4", "--emax", "3", "--engine", "closed"), 1),
             (("sequence", "--p", "2", "--d", "6", "--emax", "8", "--engine", "enumerate",
-              "--max-compositions", "1000"), 2)]
+              "--max-compositions", "1000"), 2),
+            (("verify", "--quiet"), 0),
+            (("verify", "--quiet", "--inject-fault"), 3)]
     try:
         for context in (default, decimal.Context(prec=7, traps=[decimal.Inexact])):
             decimal.setcontext(context)
