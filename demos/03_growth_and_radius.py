@@ -8,7 +8,7 @@ bounds at most 10^-12 apart, which the ratios approach.
 
 from fractions import Fraction
 
-from frobcx import build_system, char_poly, complexity_sequence, perron_interval
+from frobcx import build_system, char_poly, perron_interval, sweep
 
 for p, d in [(2, 4), (3, 4), (2, 5)]:
     system = build_system(p, d)
@@ -18,7 +18,7 @@ for p, d in [(2, 4), (3, 4), (2, 5)]:
     print(f"char poly:       {char_poly(system.matrix)}")
     print(f"radius interval: [{float(est.lo):.12f}, {float(est.hi):.12f}]"
           f"  ({est.iterations} iterations)")
-    seq = complexity_sequence(p, d, 16).c
+    seq = sweep(p, d, 16)
     print("ratios c_(e+1)/c_e:")
     for e in (3, 5, 8, 12, 15):
         ratio = Fraction(seq[e + 1], seq[e])

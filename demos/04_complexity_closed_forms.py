@@ -15,7 +15,6 @@ from frobcx import (
     complexity_d3,
     frobenius_complexity,
     known_complexity_expression,
-    state,
 )
 
 TOL = Fraction(1, 10**12)
@@ -37,8 +36,11 @@ print()
 
 print("=== characteristic 2, four variables: golden-style irrationality ===")
 system = build_system(2, 4)
-states = tuple(state(system, n) for n in range(5))
-print(f"census pairs (A_n, B_n): {states} ...")
+states, x = [], system.x0
+for _ in range(5):  # the census vectors U^n x0, one matrix step at a time
+    states.append(x)
+    x = tuple(sum(u * v for u, v in zip(row, x)) for row in system.matrix)
+print(f"census pairs (A_n, B_n): {tuple(states)} ...")
 box = frobenius_complexity(2, 4, TOL)
 print(f"complexity in [{float(box.lo):.12f}, {float(box.hi):.12f}]")
 print(f"closed form: {known_complexity_expression(2, 4)}")

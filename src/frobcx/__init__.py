@@ -13,7 +13,7 @@ from .enumeration import count_basis_carryvectors, count_basis_enumeration, is_b
 from .errors import GuardExceeded
 from .poincare import build_table
 from .spectral import CharPoly, char_poly, frobenius_complexity, perron_interval
-from .transfer import build_system, complexity_sequence, complexity_term, state
+from .transfer import build_system, complexity_term, sweep
 from .twistedop import (
     QuotientRing,
     TwistedOperator,
@@ -44,7 +44,6 @@ __all__ = [
     "char_poly",
     "closed_form_d3",
     "complexity_d3",
-    "complexity_sequence",
     "complexity_term",
     "compose",
     "count_basis_carryvectors",
@@ -58,5 +57,5 @@ __all__ = [
     "min_kill_degree",
     "perron_interval",
     "random_operator",
-    "state",
+    "sweep",
 ]

@@ -57,9 +57,7 @@ from .errors import GuardExceeded
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
-from .transfer import (
-    TransferSystem, build_system, complexity_term, iter_counts, term_and_sum,
-)
+from .transfer import TransferSystem, build_system, iter_counts, term_and_sum
 from .twistedop import (
     _identity_chain,
     bracket,
@@ -234,12 +232,14 @@ def _sequence_lines(args, engine: str, counts: Callable[[], Iterable]) -> Iterat
     yield f"# p={p} d={d} engine={engine}\n"
     # c_1 or c_emax is the widest count: from e = 2 on, counts are 0 for
     # d <= 2 and never decrease for d >= 3, since U has a positive diagonal.
-    # transfer's come by Fiduccia's method, so that no sweep runs before row 0
+    # transfer's counts yield c_1 before they build a system, and its last
+    # row comes by Fiduccia's method, so that no sweep runs before row 0
+    c_1 = next(islice(counts(), min(emax, 1), None))
     if engine == "transfer":
-        c_1, (c_last, k_last) = complexity_term(p, d, min(emax, 1)), term_and_sum(p, d, emax)
+        c_last, k_last = term_and_sum(p, d, emax)
     else:
         terms = counts()
-        c_1, c_last, k_last = terms[min(emax, 1)], terms[-1], sum(terms)
+        c_last, k_last = terms[-1], sum(terms)
     wc, wk = max(len(str(c_1)), len(str(c_last)), 3), max(len(str(k_last)), 3)
     yield f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}\n"
     for e, (ce, ke) in rows:

@@ -16,17 +16,19 @@ gives
 
     c_{d,e} >= sum_{i=0}^{p^e - 1} xi_e(i) comb(d-3+i, i),
 
-with equality at d = 3 (where the subfamily is everything).  Where the
-complexity has a known closed form (d = 3, and d = 4 in characteristic 2)
-``known_complexity_expression`` states it, for comparison with the
-certified interval of ``spectral.frobenius_complexity``.
+with equality at d = 3 (where the subfamily is everything), and
+``lower_bound`` evaluates it, forming each weight inline from the digits
+of i as it walks them.  Where the complexity has a known closed form
+(d = 3, and d = 4 in characteristic 2) ``known_complexity_expression``
+states it, for comparison with the certified interval of
+``spectral.frobenius_complexity``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .basep import Prime, digits
+from .basep import Prime
 from .errors import GuardExceeded
 
 MAX_TERMS = 10**7
@@ -49,20 +51,6 @@ def complexity_d3(p: int) -> int:
     """Growth rate of the three-variable counts: exactly p(p+1)/2."""
     p = Prime(p)
     return p * (p + 1) // 2
-
-
-def xi_weight(p: int, e: int, i: int) -> int:
-    """The first-exponent weight xi_e(i), from the base-p digits of i."""
-    p = Prime(p)
-    if e < 2:
-        raise ValueError("xi weights need e >= 2 (top and bottom digit differ)")
-    if not 0 <= i < p**e:
-        raise ValueError(f"i must lie in [0, p^e), got {i}")
-    dig = digits(i, p, e)
-    w = (p - 1 - dig[e - 1]) * dig[0]
-    for n in range(1, e - 1):
-        w *= dig[n] + 1
-    return w
 
 
 def lower_bound(p: int, d: int, e: int) -> int:

@@ -32,9 +32,8 @@ throughout and one term is its last count; from it on a sweep turns to chi
 after c_{n+1}, and one term is Fiduccia's on those c_2..c_{n+1}.  Measured
 for p = 2 and 5 on ints, a sweep's matrix/chi and one term's sweep/Fiduccia
 time ratios cross 1 at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for
-n = 30; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  ``state``,
-binary powering of U, is only the reference the tests check both paths
-against.  Counts grow to about e * log2(rho) bits, rho the spectral radius.
+n = 30; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  Counts
+grow to about e * log2(rho) bits, rho the spectral radius.
 
 The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
 e = 1 on they obey the order-(n + 1) recurrence of (t - 1) chi, and
@@ -46,7 +45,9 @@ CLI: CPython's int-to-str conversion takes time quadratic in the digit
 count, while a Decimal, stored in base-10^19 limbs, prints in linear time
 and to the same string.  ``char_poly`` lives here, next to the recurrence
 that needs it; ``spectral`` re-exports it, and its power steps use the same
-product ``_apply``.
+product ``_apply``.  The package does not export the four names at the
+end, ``state`` (binary powering of U), ``_mul``, ``complexity_sequence``
+and ``ComplexityReport``: no count path calls them, but the benchmark does.
 """
 
 from __future__ import annotations
@@ -111,30 +112,6 @@ def _apply(matrix: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, x)) for row in matrix]
 
 
-def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    columns = tuple(zip(*b))
-    return [_apply(columns, row) for row in a]
-
-
-def state(system: TransferSystem, e: int) -> tuple[int, ...]:
-    """The census vector U^e x0, by binary powering of U.
-
-    Bits of e are read from the lowest: x takes a factor U^(2^k) for every
-    set bit k, which is sound because all powers of U commute.  A reference
-    only: no count path calls it.
-    """
-    if e < 0:
-        raise ValueError("e must be >= 0")
-    x, power = list(system.x0), system.matrix
-    while e:
-        if e & 1:
-            x = _apply(power, x)
-        e >>= 1
-        if e:  # skip the last square: nothing uses it, and it is the costliest
-            power = _mul(power, power)
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """Monic integer polynomial; coeffs[k] multiplies x^k."""
@@ -144,12 +121,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def __str__(self) -> str:
         parts = []
@@ -273,29 +244,6 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
     return k_e - sum(map(mul, r, k[1:])), k_e
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Counts c_e and their partial sums k_e for e = 0..emax."""
-
-    p: Prime
-    d: int
-    engine: str
-    c: tuple[int, ...]
-    k: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        if not self.c or self.c[0] != 0:
-            raise ValueError("c must start with c_0 = 0")
-        if any(x < 0 for x in self.c):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "k", tuple(accumulate(self.c)))
-
-    @property
-    def emax(self) -> int:
-        return len(self.c) - 1
-
-
 def iter_counts(
     p: int, d: int, emax: int, system: TransferSystem | None = None, number=int
 ) -> Iterator:
@@ -358,6 +306,57 @@ def sweep(
     return list(iter_counts(p, d, emax, system, number))
 
 
+# not exported; kept for state, which perfbench/tests/test_checker.py calls
+def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    columns = tuple(zip(*b))
+    return [_apply(columns, row) for row in a]
+
+
+# not exported; perfbench/tests/test_checker.py calls transfer.state
+def state(system: TransferSystem, e: int) -> tuple[int, ...]:
+    """The census vector U^e x0, by binary powering of U.
+
+    Bits of e are read from the lowest: x takes a factor U^(2^k) for every
+    set bit k, which is sound because all powers of U commute.  A reference
+    only: no count path calls it.
+    """
+    if e < 0:
+        raise ValueError("e must be >= 0")
+    x, power = list(system.x0), system.matrix
+    while e:
+        if e & 1:
+            x = _apply(power, x)
+        e >>= 1
+        if e:  # skip the last square: nothing uses it, and it is the costliest
+            power = _mul(power, power)
+    return tuple(x)
+
+
+# not exported; kept for complexity_sequence, which perfbench/spans.py wraps by name
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Counts c_e and their partial sums k_e for e = 0..emax."""
+
+    p: Prime
+    d: int
+    engine: str
+    c: tuple[int, ...]
+    k: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", Prime(self.p))
+        if not self.c or self.c[0] != 0:
+            raise ValueError("c must start with c_0 = 0")
+        if any(x < 0 for x in self.c):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "k", tuple(accumulate(self.c)))
+
+    @property
+    def emax(self) -> int:
+        return len(self.c) - 1
+
+
+# not exported; perfbench/spans.py wraps transfer.complexity_sequence by name
 def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:
     """Counts for e = 0..emax as ints, by ``sweep``."""
     return ComplexityReport(p, d, "transfer", tuple(sweep(p, d, emax)))

@@ -1,0 +1,16 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import strategies as st
+
+
+def composition_strategy(p, e, d):
+    """Random composition of p**e - 1 into d parts via sorted cut points."""
+    total = p**e - 1
+    return st.lists(
+        st.integers(min_value=0, max_value=total), min_size=d - 1, max_size=d - 1
+    ).map(lambda cuts: cuts_to_parts(sorted(cuts), total))
+
+
+def cuts_to_parts(cuts, total):
+    edges = [0] + cuts + [total]
+    return tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))

@@ -24,7 +24,7 @@ from frobcx.enumeration import (
     count_basis_enumeration,
 )
 from frobcx.spectral import char_poly, frobenius_complexity, perron_interval
-from frobcx.transfer import build_system, complexity_sequence, complexity_term, state
+from frobcx.transfer import build_system, complexity_term, state, sweep
 from frobcx.twistedop import (
     QuotientRing,
     TwistedOperator,
@@ -66,7 +66,7 @@ def test_criterion_1_engine_agreement():
         start = time.perf_counter()
         for p, ds, es in GRID:
             for d in ds:
-                seq = complexity_sequence(p, d, max(es)).c
+                seq = sweep(p, d, max(es))
                 for e in es:
                     by_enum = count_basis_enumeration(p, d, e)
                     by_carry = count_basis_carryvectors(p, d, e)
@@ -127,7 +127,7 @@ def test_criterion_4_char2_four_variables():
         assert _at_most_sqrt5(est.hi - 5 - tol)
 
         # counts follow the order-2 recursion c_{e+1} = 10 c_e - 20 c_{e-1}
-        seq = complexity_sequence(2, 4, 12).c
+        seq = sweep(2, 4, 12)
         a, b = seq[2], seq[3]
         assert (a, b) == (4, 24)
         for e in range(4, 13):
@@ -192,7 +192,7 @@ def test_criterion_7_ratio_convergence():
         start = time.perf_counter()
         for p in (2, 3):
             for d in (3, 4, 5):
-                seq = complexity_sequence(p, d, 21).c
+                seq = sweep(p, d, 21)
                 ratio = Fraction(seq[21], seq[20])
                 est = perron_interval(build_system(p, d).matrix, Fraction(1, 10**9))
                 assert est.lo * Fraction(99, 100) <= ratio <= est.hi * Fraction(101, 100), (p, d)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcx.basep import ExponentVector, Prime, carry_sequence, digits
+from strategies import composition_strategy
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -77,19 +78,6 @@ def test_carry_sequence_frozen_examples():
     assert carry_sequence(ExponentVector((26,), 3, 3)) == (0, 0, 0)
     # maximal first coordinate leaves nothing to carry
     assert carry_sequence(ExponentVector((15, 0, 0), 2, 4)) == (0, 0, 0, 0)
-
-
-def composition_strategy(p, e, d):
-    """Random composition of p**e - 1 into d parts via sorted cut points."""
-    total = p**e - 1
-    return st.lists(
-        st.integers(min_value=0, max_value=total), min_size=d - 1, max_size=d - 1
-    ).map(lambda cuts: cuts_to_parts(sorted(cuts), total))
-
-
-def cuts_to_parts(cuts, total):
-    edges = [0] + cuts + [total]
-    return tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
 
 
 @settings(max_examples=100)

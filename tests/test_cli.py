@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,7 @@ from frobcx.cli import (
     render_json,
 )
 from frobcx.enumeration import composition_count, count_basis_carryvectors
-from frobcx.transfer import ComplexityReport, complexity_sequence, complexity_term, sweep
+from frobcx.transfer import complexity_term, sweep
 from fractions import Fraction
 
 
@@ -404,12 +405,12 @@ def test_main_restores_the_digit_limit(capsys):
 )
 @example(7, 9, 400)  # the largest counts, about 2,700 digits
 def test_decimal_sweep_prints_the_int_sweep_digit_for_digit(p, d, emax):
-    ints = complexity_sequence(p, d, emax)
+    ints = sweep(p, d, emax)
     with decimal.localcontext(EXACT):
-        decimals = ComplexityReport(p, d, "transfer",
-                                    tuple(ENGINE_TERMS["transfer"](p, d, emax, None)))
-    assert [str(v) for v in decimals.c] == [str(v) for v in ints.c]
-    assert [str(v) for v in decimals.k] == [str(v) for v in ints.k]
+        decimals = list(ENGINE_TERMS["transfer"](p, d, emax, None))
+        decimal_sums = list(accumulate(decimals))
+    assert [str(v) for v in decimals] == [str(v) for v in ints]
+    assert [str(v) for v in decimal_sums] == [str(v) for v in accumulate(ints)]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -418,32 +419,31 @@ def test_transfer_output_past_the_digit_limit_matches_int_rows(capsys, monkeypat
             "--format", fmt)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    # the same rows rendered by the same code from complexity_sequence's ints
-    monkeypatch.setitem(ENGINE_TERMS, "transfer",
-                        lambda p, d, emax, guard: complexity_sequence(p, d, emax).c)
+    # the same rows rendered by the same code from sweep's ints
+    monkeypatch.setitem(ENGINE_TERMS, "transfer", lambda p, d, emax, guard: sweep(p, d, emax))
     assert run(capsys, *argv) == (0, out, "")
     assert max(map(len, out.replace(",", " ").split())) > 4300
 
 
-def printed_sequence(report, fmt):
-    # sequence's output as it was rendered before it was streamed: one dict
-    # through render_json, or one print per csv or table line
+def printed_sequence(p, d, engine, c, fmt):
+    # sequence's output for the counts c as it was rendered before it was
+    # streamed: one dict through render_json, or one print per csv or table line
+    k = list(accumulate(c))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         if fmt == "json":
-            print(render_json({"p": int(report.p), "d": report.d, "engine": report.engine,
-                               "c": [str(v) for v in report.c],
-                               "k": [str(v) for v in report.k]}))
+            print(render_json({"p": p, "d": d, "engine": engine,
+                               "c": [str(v) for v in c], "k": [str(v) for v in k]}))
         elif fmt == "csv":
             print("e,c_e,k_e")
-            for e, (ce, ke) in enumerate(zip(report.c, report.k)):
+            for e, (ce, ke) in enumerate(zip(c, k)):
                 print(f"{e},{ce},{ke}")
         else:
-            print(f"# p={report.p} d={report.d} engine={report.engine}")
-            wc = max(len(str(report.c[min(report.emax, 1)])), len(str(report.c[-1])), 3)
-            wk = max(len(str(report.k[-1])), 3)
+            print(f"# p={p} d={d} engine={engine}")
+            wc = max(len(str(c[min(len(c) - 1, 1)])), len(str(c[-1])), 3)
+            wk = max(len(str(k[-1])), 3)
             print(f"{'e':>3} {'c_e':>{wc}} {'k_e':>{wk}}")
-            for e, (ce, ke) in enumerate(zip(report.c, report.k)):
+            for e, (ce, ke) in enumerate(zip(c, k)):
                 print(f"{e:>3} {ce:>{wc}} {ke:>{wk}}")
     return buf.getvalue()
 
@@ -453,12 +453,12 @@ def sequence_args(p, d, emax, engine, fmt):
             "--engine", engine, "--format", fmt]
 
 
-def reference_report(p, d, emax, engine):
-    # the counts without the CLI: complexity_sequence's ints for transfer,
-    # the engine's own ints otherwise
+def reference_counts(p, d, emax, engine):
+    # the counts without the CLI: sweep's ints for transfer, the engine's own
+    # ints otherwise
     if engine == "transfer":
-        return complexity_sequence(p, d, emax)
-    return ComplexityReport(p, d, engine, tuple(ENGINE_TERMS[engine](p, d, emax, 10**8)))
+        return sweep(p, d, emax)
+    return list(ENGINE_TERMS[engine](p, d, emax, 10**8))
 
 
 def sequence_lines(argv):
@@ -479,10 +479,10 @@ def test_streamed_sequence_matches_the_printed_one(capsys, fmt):
         argv = sequence_args(p, d, emax, engine, fmt)
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        report = reference_report(p, d, emax, engine)
-        assert out == printed_sequence(report, fmt), argv
+        counts = reference_counts(p, d, emax, engine)
+        assert out == printed_sequence(p, d, engine, counts, fmt), argv
         if fmt == "json":
-            assert json.loads(out)["c"] == [str(v) for v in report.c]
+            assert json.loads(out)["c"] == [str(v) for v in counts]
     assert len(out) > 20 * _CHUNK
 
 
@@ -498,7 +498,7 @@ def test_streamed_sequence_is_written_in_bounded_chunks():
     longest_line = max(map(len, out.splitlines(keepends=True)))
     assert len(writes) > 20
     assert all(_CHUNK <= len(w) < _CHUNK + longest_line for w in writes[:-1])
-    assert out == printed_sequence(complexity_sequence(2, 4, 2000), "csv")
+    assert out == printed_sequence(2, 4, "transfer", sweep(2, 4, 2000), "csv")
 
 
 def opening_request(fmt):
@@ -603,7 +603,7 @@ def test_sequence_takes_every_count_under_the_exact_context(capsys, fmt):
     # EXACT, in json's second pass or the table's widths too, rounds under
     # the default context and raises under the narrow trapping one
     argv = sequence_args(2, 4, 120, "transfer", fmt)
-    expected = printed_sequence(complexity_sequence(2, 4, 120), fmt)
+    expected = printed_sequence(2, 4, "transfer", sweep(2, 4, 120), fmt)
     default = decimal.getcontext()
     try:
         for context in (decimal.Context(),

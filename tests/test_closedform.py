@@ -10,14 +10,31 @@ from frobcx.closedform import (
     complexity_d3,
     known_complexity_expression,
     lower_bound,
-    xi_weight,
 )
+from frobcx.basep import Prime, digits
 from frobcx.enumeration import count_basis_enumeration
 from frobcx.errors import GuardExceeded
 from frobcx.spectral import frobenius_complexity
 from frobcx.transfer import build_system, complexity_term, state
 
 mpmath.mp.dps = 50
+
+
+def xi_weight(p: int, e: int, i: int) -> int:
+    """The first-exponent weight xi_e(i), from the base-p digits of i.
+
+    The reference for ``lower_bound``, which forms each weight inline.
+    """
+    p = Prime(p)
+    if e < 2:
+        raise ValueError("xi weights need e >= 2 (top and bottom digit differ)")
+    if not 0 <= i < p**e:
+        raise ValueError(f"i must lie in [0, p^e), got {i}")
+    dig = digits(i, p, e)
+    w = (p - 1 - dig[e - 1]) * dig[0]
+    for n in range(1, e - 1):
+        w *= dig[n] + 1
+    return w
 
 
 def test_closed_form_d3_frozen_values():

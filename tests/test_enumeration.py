@@ -14,6 +14,7 @@ from frobcx.enumeration import (
 )
 from frobcx.errors import GuardExceeded
 from frobcx.transfer import complexity_term
+from strategies import composition_strategy
 
 # brute-forced with a standalone per-monomial checker before this package
 # existed; the three engines reproduced every value independently
@@ -240,18 +241,6 @@ def test_carryvectors_match_enumeration_on_every_level():
                     assert expected == 0
                 checked += 1
     assert checked == 92
-
-
-def composition_strategy(p, e, d):
-    total = p**e - 1
-    return st.lists(
-        st.integers(min_value=0, max_value=total), min_size=d - 1, max_size=d - 1
-    ).map(lambda cuts: parts_from_cuts(sorted(cuts), total))
-
-
-def parts_from_cuts(cuts, total):
-    edges = [0] + cuts + [total]
-    return tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
 
 
 @settings(max_examples=150)

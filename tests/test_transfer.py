@@ -95,7 +95,7 @@ def test_far_terms_match_a_modular_recursion():
     for p, d, e in [(2, 6, 20000), (2, 5, 17000)]:
         assert complexity_term(p, d, e) % q == _count_mod_by_steps(p, d, e, q)
     for p, d, e in [(2, 4, 300), (2, 6, 257), (3, 5, 129), (7, 9, 64)]:
-        assert complexity_term(p, d, e) == complexity_sequence(p, d, 300).c[e]
+        assert complexity_term(p, d, e) == sweep(p, d, 300)[e]
 
 
 def _by_powering(system, e):
