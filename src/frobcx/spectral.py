@@ -139,36 +139,53 @@ def _shifted_solve(rows: Matrix, sn: int, sd: int, x: list[int], bits: int) -> l
     return z
 
 
+def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
+    # the strongly connected blocks that hold a cycle, by Warshall's closure
+    reach = [sum([1 << j for j, v in enumerate(row) if v]) for row in rows]
+    for k in range(len(rows)):  # then bit j of reach[i] marks a path from i to j
+        reach = [r | reach[k] if r >> k & 1 else r for r in reach]
+    return {tuple([j for j, s in enumerate(reach) if r >> j & s >> i & 1])
+            for i, r in enumerate(reach) if r >> i & 1}
+
+
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
-    Zero rows/columns are trimmed first (they cannot carry the radius).  Up
-    to 4n + 16 power steps x -> Ux bring the width to hi / 2^8, then shifted
+    Zero rows/columns are trimmed first (they cannot carry the radius), and
+    each strongly connected block with a cycle is enclosed alone: the radius
+    is the largest block's, in [max lo, max hi].  In a block of size n, up to
+    4n + 16 power steps x -> Ux bring the width to hi / 2^8, then shifted
     inverse iteration (Wielandt) converges fast.  At the cap of 5n + 16 + b
-    steps, b the bit length of ceil(1/tol), or if a step finds no positive
-    x, the best interval so far is returned with ``converged=False``.
+    steps, b = bits(ceil(1/tol)), or if a step finds no positive x, the
+    block's best interval so far is taken (not converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
         raise ValueError("matrix entries must be nonnegative")
     tol = _as_fraction(tol)
     rows = _trim(rows)
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return SpectralEstimate(0, 0)
-    tn, td = tol.numerator, tol.denominator
-    cap = 5 * n + 16 + (-(-td // tn)).bit_length()
+    poly, tn, td = char_poly(rows), tol.numerator, tol.denominator
+    found = [_enclose([[rows[i][j] for j in b] for i in b], tn, td) for b in _blocks(rows)]
+    lo, hi = max(f[0] for f in found), max(f[1] for f in found)
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
+                   < _scaled_value(poly, hn * td + tn * hd, hd * td))  # at lo - tol, hi + tol
+    return SpectralEstimate(lo, hi, iterations=sum(f[2] for f in found),
+                            converged=(hn * ld - ln * hd) * td <= tn * hd * ld,
+                            sign_change=sign_change)
 
-    poly = char_poly(rows)
+
+def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
+    # (lo, hi, steps) for one irreducible block; inside, lo, hi and tol = tn / td are pairs
+    n = len(rows)
+    cap = 5 * n + 16 + (-(-td // tn)).bit_length()
     x = [1] * n
-    # lo, hi, tol and each step's extreme ratios y_i / x_i are kept as integer
-    # pairs (numerator, positive denominator) and compared by cross products
-    ln, ld = 0, 1
-    hn, hd = max(map(sum, rows)), 1  # the first step's bound, as x is all ones
-    it = 0
-    while it < cap:
+    ln, ld, hn, hd = 0, 1, max(map(sum, rows)), 1  # hi: the first step's bound, as x is all ones
+    for it in range(1, cap + 1):
         y = _apply(rows, x)
-        an, ad = bn, bd = y[0], x[0]  # the least and the greatest ratio
+        an, ad = bn, bd = y[0], x[0]  # the least and the greatest ratio y_i / x_i, as pairs
         for yi, xi in zip(y, x):
             if yi * ad < an * xi:
                 an, ad = yi, xi
@@ -178,9 +195,8 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
             ln, ld = an, ad
         if bn * hd < hn * bd:
             hn, hd = bn, bd
-        it += 1
         width = hn * ld - ln * hd  # (hi - lo) hd ld
-        if converged := width * td <= tn * hd * ld:  # the loop runs at least once
+        if width * td <= tn * hd * ld:
             break
         if it < 4 * n + 16 and width * 256 > hn * ld:
             shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
@@ -196,10 +212,7 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
         tries = (_shifted_solve(rows, hn * ld + width, hd * ld, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
-    sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
-                   < _scaled_value(poly, hn * td + tn * hd, hd * td))  # at lo - tol, hi + tol
-    return SpectralEstimate(Fraction(ln, ld), Fraction(hn, hd), iterations=it,
-                            converged=converged, sign_change=sign_change)
+    return Fraction(ln, ld), Fraction(hn, hd), it
 
 
 def _scaled_value(poly: CharPoly, a: int, b: int) -> int:

@@ -21,18 +21,21 @@ characteristic polynomial chi = t^n + sum_k a_k t^k of U, n = d - 2:
 
 so every count is a fixed combination of c_2..c_{n+1}, which the matrix
 gives.  ``iter_counts`` yields the whole sequence with n products per term
-where the matrix takes n^2 + n, holding only the census vector or chi's
-last n counts; ``sweep`` is the list of it.  ``complexity_term`` finds one
-far term by Fiduccia's method: t^(e-2) mod chi by square-and-multiply on
-polynomials of degree < n, so O(n^2) products per bit of e where powering
-U takes O(n^3).  ``char_poly`` costs about n^4/4 small products, so chi is
-used only where it pays, by one crossover rule (``_chi_pays``): once the
-last level wanted is e >= n^2/4 + n + 8.  Below it a sweep runs the matrix
-throughout and one term is its last count; from it on a sweep turns to chi
-after c_{n+1}, and one term is Fiduccia's on those c_2..c_{n+1}.  Measured
-for p = 2 and 5 on ints, a sweep's matrix/chi and one term's sweep/Fiduccia
-time ratios cross 1 at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for
-n = 30; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  Counts
+where the matrix takes n^2 + n, holding only the census vector or chi's last
+n counts; ``sweep`` is the list of it.  ``complexity_term`` finds one far
+term by Fiduccia's method: L(f) = w f(U) x0 has L(t^m) = c_{m+2} and vanishes
+on multiples of chi, so c_e = L(q^2 t^b) = q H q for e - 2 = 2k + b,
+q = t^k mod chi and the Hankel matrix H[i][j] = c_{i+j+2+b}: the last,
+largest squaring is n big products.  q comes by square-and-multiply, each
+square taking n(n + 1)/2 int squares, as
+2 r_i r_k = (r_i + r_k)^2 - r_i^2 - r_k^2.  ``char_poly`` costs about n^4/4
+small products, so chi is used only where it pays, by one crossover rule
+(``_chi_pays``): from the last level wanted e >= n^2/4 + n + 8 on, a sweep
+turns to chi after c_{n+1} and one term is Fiduccia's; below it, one term is
+a matrix sweep's last count.  Measured for p = 2 and 5 on ints, a sweep's
+matrix/chi time ratio crosses 1 at 0.9-1.1 times that e for n = 10 and at
+0.4-0.65 for n = 30, one term's sweep/Fiduccia ratio at 1.0-1.1 and at
+0.5-0.6; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  Counts
 grow to about e * log2(rho) bits, rho the spectral radius.
 
 The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
@@ -99,13 +102,12 @@ def build_system(p: int, d: int) -> TransferSystem:
             "at e = 1 and 0 for e >= 2"
         )
     n = d - 2
-    md = build_table(p, d).coeff
-    matrix = tuple(
-        tuple(md(p * i - j + p - 1) for j in range(1, n + 1)) for i in range(1, n + 1)
-    )
-    x0 = tuple(md(p * i + p - 1) for i in range(1, n + 1))
-    weights = tuple(md(p - 1 - i) for i in range(1, n + 1))
-    return TransferSystem(p, d, matrix, x0, weights)
+    # row i of [[M_d(p*i - j + p - 1)]], i, j = 0..n, is a reversed slice of
+    # the table padded with zeros; x0 is column 0 and the weights row 0
+    pad = [0] * n + list(build_table(p, d).coeffs) + [0] * (p * n + p)
+    rows = [pad[p * i + p - 1 + n:p * i + p - 2:-1] for i in range(n + 1)]
+    matrix = tuple(tuple(row[1:]) for row in rows[1:])
+    return TransferSystem(p, d, matrix, tuple(row[0] for row in rows[1:]), tuple(rows[0][1:]))
 
 
 def _apply(matrix: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
@@ -182,11 +184,11 @@ def _power_of_t(j: int, recurrence: list[int]) -> list[int]:
     for bit in bin(j)[2:]:
         m = len(r)
         s = [0] * (2 * m - 1)
-        for i, u in enumerate(r):  # a symmetric square: m(m+1)/2 products
-            s[2 * i] += u * u
-            twice = u << 1
+        s[::2] = sq = [u * u for u in r]
+        for i in range(m):  # 2 r_i r_k = (r_i + r_k)^2 - r_i^2 - r_k^2: m(m+1)/2 squares
             for k in range(i + 1, m):
-                s[i + k] += twice * r[k]
+                v = r[i] + r[k]
+                s[i + k] += v * v - sq[i] - sq[k]
         if bit == "1":
             s.insert(0, 0)
         for top in range(len(s) - 1, n - 1, -1):
@@ -215,9 +217,14 @@ def complexity_term(p: int, d: int, e: int) -> int:
     if n < 1 or not _chi_pays(n, e):
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
-    first = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
-    r = _power_of_t(e - 2, _recurrence(char_poly(system.matrix).coeffs))
-    return sum(map(mul, r, first))
+    c = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
+    recurrence = _recurrence(char_poly(system.matrix).coeffs)
+    if n == 1:  # c_e = c_2 b_0^(e-2): the power's last step is a square, not a product
+        return c[0] * _power_of_t(e - 2, recurrence)[0]
+    for _ in range(n):  # c_{n+2}..c_{2n+1}, by chi
+        c.append(sum(map(mul, recurrence, c[-n:])))
+    q = _power_of_t((e - 2) // 2, recurrence)  # c_e = q H q, b = e % 2 (module docstring)
+    return sum(u * sum(map(mul, c[i + e % 2:], q)) for i, u in enumerate(q))
 
 
 def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:

@@ -80,21 +80,29 @@ def test_perron_contains_golden_ratio_style_root():
     assert est.width <= Fraction(1, 10**12)
 
 
-def test_perron_unconverged_interval_is_still_valid():
-    # the Perron vector (1, 0) of this reducible matrix has a zero entry, so
-    # every positive x has ratio 1 in its second entry and the lower bound
-    # never passes 1: the cap of 5n + 16 + (bits of ceil(1/tol)) = 66 steps
-    # stops it, and the interval it returns still holds the radius
-    est = perron_interval([[2, 1], [0, 1]], Fraction(1, 10**12))
-    assert not est.converged
-    assert est.iterations == 5 * 2 + 16 + (10**12).bit_length() == 66
-    assert est.lo <= 2 <= est.hi
+def test_perron_unconverged_interval_is_still_valid(monkeypatch):
+    # power steps on this periodic matrix alternate between two vectors with
+    # ratios 1 and 2, so after 4n + 16 = 24 of them comes an inverse step;
+    # with every solve failing, the loop stops there, and the interval it
+    # returns still holds the radius sqrt(2)
+    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
+    est = perron_interval([[0, 2], [1, 0]], Fraction(1, 10**12))
+    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 24, False)
+
+
+def test_perron_converges_on_a_reducible_matrix():
+    # the Perron vector (1, 0) has a zero entry, so on the whole matrix every
+    # positive x keeps the ratio 1 in its second entry and the lower bound at
+    # 1; the blocks [2] and [1] are enclosed apart, one step each
+    est = perron_interval([[2, 1], [0, 1]], "1e-9")
+    assert (est.lo, est.hi, est.iterations, est.converged) == (2, 2, 2, True)
+    assert est.sign_change
 
 
 def test_perron_converges_at_a_width_equal_to_tol():
     # the first step's ratios are the row sums 2 and 1: a width of exactly
     # tol = 1, which converges (the loop's test and the result's agree)
-    est = perron_interval([[2, 0], [0, 1]], 1)
+    est = perron_interval([[1, 1], [1, 0]], 1)
     assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 1, True)
 
 
@@ -128,6 +136,13 @@ def reference_eigenvalues(matrix):
         return mpmath.eig(mpmath.matrix(matrix), left=False, right=False)
 
 
+def reference_radius(matrix):
+    eigenvalues = reference_eigenvalues(matrix)
+    if len(matrix) == 1:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
+        eigenvalues = eigenvalues[0]
+    return max(abs(v) for v in eigenvalues)
+
+
 @settings(max_examples=80, deadline=None)  # mpmath.eig at n = 6 takes ~30 ms
 @given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3])))
 @example([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
@@ -137,25 +152,61 @@ def test_perron_contains_reference_radius(matrix):
     # (index 3 above, once 0 and 2 go), must all be trimmed, or a ratio gets
     # a zero denominator
     est = perron_interval(matrix, Fraction(1, 10**6))
-    eigenvalues = reference_eigenvalues(matrix)
-    if len(matrix) == 1:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
-        eigenvalues = eigenvalues[0]
-    radius = max(abs(v) for v in eigenvalues)
+    radius = reference_radius(matrix)
     # a defective eigenvalue is computed only to about eps^(1/n)
     slack = mpmath.mpf("1e-6")
     assert mpmath.mpf(est.lo.numerator) / est.lo.denominator <= radius + slack
     assert mpmath.mpf(est.hi.numerator) / est.hi.denominator >= radius - slack
 
 
-def fraction_perron_interval(matrix, tol):
-    # perron_interval as it was with one Fraction per ratio: the reference
-    # for its integer-pair loop
-    rows = _trim(spectral._validate_matrix(matrix))
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4)),
+       st.sampled_from([Fraction("1e-3"), Fraction("1e-6"), Fraction("1e-9")]))
+@example([[2, 1], [0, 1]], Fraction("1e-6"))
+@example([[2, 1, 0], [0, 2, 1], [0, 0, 2]], Fraction("1e-6"))  # a Jordan block at the radius
+@example([[0, 4, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]], Fraction("1e-9"))  # periodic
+def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
+    # each block is enclosed alone, so a reducible matrix converges too, also
+    # when its Perron vector has zero entries (a tol much coarser than these
+    # can leave a periodic block at its step cap)
+    est = perron_interval(matrix, tol)
+    assert est.converged and est.width <= tol
+    radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as above
+    assert mpmath.mpf(est.lo.numerator) / est.lo.denominator <= radius + slack
+    assert mpmath.mpf(est.hi.numerator) / est.hi.denominator >= radius - slack
+
+
+def reachable(rows, i):
+    # the indices that a path of nonzero entries, one or more, leads to from i
+    seen, todo = set(), [i]
+    while todo:
+        for j, v in enumerate(rows[todo.pop()]):
+            if v and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+def reference_blocks(rows):
+    # the strongly connected blocks that hold a cycle, by search: the
+    # reference for spectral._blocks
+    reach = [reachable(rows, i) for i in range(len(rows))]
+    return {tuple(sorted(j for j in reach[i] if i in reach[j]))
+            for i in range(len(rows)) if i in reach[i]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]), max_n=10))
+@example([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
+def test_blocks_are_the_strongly_connected_components(matrix):
+    assert spectral._blocks(matrix) == reference_blocks(matrix)
+
+
+def fraction_block_interval(rows, tol):
+    # perron_interval's loop on one block as it was with one Fraction per
+    # ratio: the reference for its integer-pair loop
     n = len(rows)
-    if n == 0:
-        return spectral.SpectralEstimate(0, 0)
     cap = 5 * n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
-    poly = char_poly(rows)
     x = [1] * n
     lo, hi = Fraction(0), Fraction(max(map(sum, rows)))
     it = 0
@@ -179,9 +230,23 @@ def fraction_perron_interval(matrix, tol):
         tries = (spectral._shifted_solve(rows, *sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
+    return lo, hi, it
+
+
+def fraction_perron_interval(matrix, tol):
+    # the reference for perron_interval: the Fraction loop on each block of
+    # reference_blocks, the largest ends of their intervals, and the sign
+    # check of the whole trimmed matrix's polynomial
+    rows = _trim(spectral._validate_matrix(matrix))
+    if not rows:
+        return spectral.SpectralEstimate(0, 0)
+    found = [fraction_block_interval([[rows[i][j] for j in b] for i in b], tol)
+             for b in reference_blocks(rows)]
+    lo, hi = max(f[0] for f in found), max(f[1] for f in found)
+    poly = char_poly(rows)
     sign_change = horner(poly, lo - tol) < 0 < horner(poly, hi + tol)
-    return spectral.SpectralEstimate(lo, hi, iterations=it, converged=hi - lo <= tol,
-                                     sign_change=sign_change)
+    return spectral.SpectralEstimate(lo, hi, iterations=sum(f[2] for f in found),
+                                     converged=hi - lo <= tol, sign_change=sign_change)
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from frobcx.transfer import (
     ComplexityReport,
     TransferSystem,
     _apply,
+    _power_of_t,
     build_system,
     complexity_sequence,
     complexity_term,
@@ -123,6 +124,38 @@ def test_far_terms_on_both_sides_of_the_crossover():
         for e in (t - 1, t, t + 1):
             assert complexity_term(p, d, e) == sum(w * v for w, v in zip(system.weights, x)), (p, d, e)
             x = _apply(system.matrix, x)
+
+
+def _power_by_steps(j, recurrence):
+    # t^j mod t^n - sum b_k t^k, one degree at a time: multiply by t, then
+    # put the top coefficient back through t^n = sum b_k t^k
+    r = [1] + [0] * (len(recurrence) - 1)
+    for _ in range(j):
+        top = r[-1]
+        r = [a + b * top for a, b in zip([0] + r[:-1], recurrence)]
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.just(0) | st.integers(min_value=-50, max_value=50), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=300))
+@example([0], 3)  # t^1 = 0: every power from t on vanishes
+@example([-1, 0, 0, 0, 0, 0, 0, 1], 300)
+@example([3, -2], 255)  # all bits set
+def test_power_of_t_equals_steps_of_one_degree(recurrence, j):
+    r = _power_of_t(j, recurrence)
+    assert r + [0] * (len(recurrence) - len(r)) == _power_by_steps(j, recurrence)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_far_terms_equal_the_sweep_for_both_parities(d):
+    # from the crossover T on, Fiduccia's method with its last squaring as a
+    # Hankel form in c_2..c_{2n+1}: e - 2 even and odd, n = 1..8
+    t = crossover(d)
+    for p in (2, 3, 5):
+        c = sweep(p, d, 1001)
+        for e in (t, t + 1, t + 2, t + 3, 1000, 1001):
+            assert complexity_term(p, d, e) == c[e], (p, d, e)
 
 
 # emax up to 60 puts d <= 14 on both sides of the sweep's crossover, emax
