@@ -9,10 +9,12 @@ Fraction that provably brackets the target.
   x, min_i (Ux)_i / x_i <= rho(U) <= max_i (Ux)_i / x_i.  Running max/min
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
-  lo, hi and tol stay integer pairs, as do an inverse step's shift sigma and
-  the ratios hi / width and hi / tol that set its precision (unreduced);
-  chi's sign at a / b, b > 0, is that of b^n chi(a / b), n = deg chi, which
-  Horner's rule gives in integers.
+  Each strongly connected block of the whole matrix is enclosed alone, and
+  one with no positive diagonal entry, perhaps periodic, takes inverse steps
+  only.  lo, hi and tol stay integer pairs, as do an inverse step's shift
+  sigma and the ratios hi / width and hi / tol that set its precision
+  (unreduced); the sign of chi, the whole matrix's, at a / b, b > 0, is that
+  of b^n chi(a / b), n = deg chi, which Horner's rule gives in integers.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -92,26 +94,13 @@ class SpectralEstimate(RationalInterval):
     the iteration cap; the interval is valid either way.  ``sign_change``
     reports whether the characteristic polynomial is negative at lo - tol
     and positive at hi + tol, a cross-check that succeeds when the radius
-    is a simple isolated real root (None when the matrix was empty after
-    trimming).
+    is a simple isolated real root (None when no cycle runs through the
+    matrix, whose radius is then 0).
     """
 
     iterations: int = 0
     converged: bool = True
     sign_change: bool | None = None
-
-
-def _trim(rows: Matrix) -> Matrix:
-    # deleting an index whose row (or column) is zero leaves the spectral
-    # radius unchanged; deleting only removes entries, so a removable index
-    # stays removable and one filter, repeated to a fixpoint, finds them all
-    keep = range(len(rows))
-    while True:
-        kept = [i for i in keep
-                if any(rows[i][j] for j in keep) and any(rows[j][i] for j in keep)]
-        if len(kept) == len(keep):
-            return tuple(tuple(rows[i][j] for j in keep) for i in keep)
-        keep = kept
 
 
 def _shifted_solve(rows: Matrix, sn: int, sd: int, x: list[int], bits: int) -> list[int] | None:
@@ -151,23 +140,24 @@ def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
-    Zero rows/columns are trimmed first (they cannot carry the radius), and
-    each strongly connected block with a cycle is enclosed alone: the radius
-    is the largest block's, in [max lo, max hi].  In a block of size n, up to
-    4n + 16 power steps x -> Ux bring the width to hi / 2^8, then shifted
-    inverse iteration (Wielandt) converges fast.  At the cap of 5n + 16 + b
-    steps, b = bits(ceil(1/tol)), or if a step finds no positive x, the
-    block's best interval so far is taken (not converged).
+    Each strongly connected block with a cycle is enclosed alone: the radius
+    is the largest block's, in [max lo, max hi], and 0 if there is none.  In
+    a block of size n, up to a = 4n + 16 power steps x -> Ux bring the width
+    to hi / 2^8, then shifted inverse iteration (Wielandt) converges fast.  A
+    block with no positive diagonal entry may be periodic, where power steps
+    never narrow, so it takes inverse steps from the first on (a = 0).  At
+    the cap of a + n + 16 + b steps, b = bits(ceil(1/tol)), or if a step
+    finds no positive x, the block's best interval so far is taken (not
+    converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
         raise ValueError("matrix entries must be nonnegative")
     tol = _as_fraction(tol)
-    rows = _trim(rows)
-    if not rows:
+    if not (blocks := _blocks(rows)):
         return SpectralEstimate(0, 0)
     poly, tn, td = char_poly(rows), tol.numerator, tol.denominator
-    found = [_enclose([[rows[i][j] for j in b] for i in b], tn, td) for b in _blocks(rows)]
+    found = [_enclose([[rows[i][j] for j in b] for i in b], tn, td) for b in blocks]
     lo, hi = max(f[0] for f in found), max(f[1] for f in found)
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
@@ -180,7 +170,8 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
     # (lo, hi, steps) for one irreducible block; inside, lo, hi and tol = tn / td are pairs
     n = len(rows)
-    cap = 5 * n + 16 + (-(-td // tn)).bit_length()
+    powers = 4 * n + 16 if any(rows[i][i] for i in range(n)) else 0  # else perhaps periodic
+    cap = powers + n + 16 + (-(-td // tn)).bit_length()
     x = [1] * n
     ln, ld, hn, hd = 0, 1, max(map(sum, rows)), 1  # hi: the first step's bound, as x is all ones
     for it in range(1, cap + 1):
@@ -198,7 +189,7 @@ def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
         width = hn * ld - ln * hd  # (hi - lo) hd ld
         if width * td <= tn * hd * ld:
             break
-        if it < 4 * n + 16 and width * 256 > hn * ld:
+        if it < powers and width * 256 > hn * ld:
             shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
             x = [v >> shift for v in y]
             continue

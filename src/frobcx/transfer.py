@@ -25,23 +25,27 @@ where the matrix takes n^2 + n, holding only the census vector or chi's last
 n counts; ``sweep`` is the list of it.  ``complexity_term`` finds one far
 term by Fiduccia's method: L(f) = w f(U) x0 has L(t^m) = c_{m+2} and vanishes
 on multiples of chi, so c_e = L(q^2 t^b) = q H q for e - 2 = 2k + b,
-q = t^k mod chi and the Hankel matrix H[i][j] = c_{i+j+2+b}: the last,
-largest squaring is n big products.  q comes by square-and-multiply, each
-square taking n(n + 1)/2 int squares, as
+q = t^k mod chi and the Hankel matrix H[i][j] = c_{i+j+2+b}.  This Hankel
+finish is n big products in place of the last, largest squaring.  q comes
+by square-and-multiply, each square taking n(n + 1)/2 int squares, as
 2 r_i r_k = (r_i + r_k)^2 - r_i^2 - r_k^2.  ``char_poly`` costs about n^4/4
 small products, so chi is used only where it pays, by one crossover rule
 (``_chi_pays``): from the last level wanted e >= n^2/4 + n + 8 on, a sweep
 turns to chi after c_{n+1} and one term is Fiduccia's; below it, one term is
-a matrix sweep's last count.  Measured for p = 2 and 5 on ints, a sweep's
-matrix/chi time ratio crosses 1 at 0.9-1.1 times that e for n = 10 and at
-0.4-0.65 for n = 30, one term's sweep/Fiduccia ratio at 1.0-1.1 and at
-0.5-0.6; on Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  Counts
-grow to about e * log2(rho) bits, rho the spectral radius.
+a matrix sweep's last count.  The finish's terms, to level 2n + 3 at most,
+come from a matrix sweep too, as 2n + 3 < n^2/4 + n + 8 for every n.
+Measured for p = 2 and 5 on ints, a sweep's matrix/chi time ratio crosses 1
+at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for n = 30, one term's
+sweep/Fiduccia ratio at 1.0-1.1 and at 0.5-0.6; on Decimals a sweep's
+crosses at 0.3-0.7 for n = 10..30.  Counts grow to about e * log2(rho)
+bits, rho the spectral radius.
 
 The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
 e = 1 on they obey the order-(n + 1) recurrence of (t - 1) chi, and
-``term_and_sum`` finds one far pair (c_e, k_e) by Fiduccia's method on
-k_1..k_{n+2}, under the same crossover rule.
+``term_and_sum`` finds one far pair (c_e, k_e) under the same crossover
+rule by the same Hankel finish on k_1..k_{2n+3}: one q gives k_{e-1} = q H q
+and k_e = q H' q, H' the Hankel matrix shifted by one term, and c_e is their
+difference.
 
 The sweep runs on ints for library callers and on exact decimals for the
 CLI: CPython's int-to-str conversion takes time quadratic in the digit
@@ -205,6 +209,16 @@ def _chi_pays(n: int, e: int) -> bool:
     return e >= n * n // 4 + n + 8
 
 
+def _hankel_finish(
+    s: Sequence[int], coeffs: Sequence[int], j: int, shifts: Sequence[int]
+) -> list[int]:
+    # s_{j+a} for each shift a, s obeying the recurrence of the monic polynomial
+    # of degree n whose coefficients, low first, are given, from s_0..s_{2n-1+a}:
+    # s_{j+a} = q H_a q for q = t^(j // 2) mod it, H_a[i][k] = s_{i+k+j%2+a}
+    q = _power_of_t(j // 2, _recurrence(coeffs))
+    return [sum(u * sum(map(mul, s[i + j % 2 + a:], q)) for i, u in enumerate(q)) for a in shifts]
+
+
 def complexity_term(p: int, d: int, e: int) -> int:
     """The generator count c_{d,e}, via the transfer recursion.
 
@@ -217,14 +231,8 @@ def complexity_term(p: int, d: int, e: int) -> int:
     if n < 1 or not _chi_pays(n, e):
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
-    c = sweep(p, d, n + 1, system)[2:]  # c_2..c_{n+1}, by the matrix
-    recurrence = _recurrence(char_poly(system.matrix).coeffs)
-    if n == 1:  # c_e = c_2 b_0^(e-2): the power's last step is a square, not a product
-        return c[0] * _power_of_t(e - 2, recurrence)[0]
-    for _ in range(n):  # c_{n+2}..c_{2n+1}, by chi
-        c.append(sum(map(mul, recurrence, c[-n:])))
-    q = _power_of_t((e - 2) // 2, recurrence)  # c_e = q H q, b = e % 2 (module docstring)
-    return sum(u * sum(map(mul, c[i + e % 2:], q)) for i, u in enumerate(q))
+    c = sweep(p, d, 2 * n + 1, system)[2:]  # c_2..c_{2n+1}, by the matrix
+    return _hankel_finish(c, char_poly(system.matrix).coeffs, e - 2, (0,))[0]
 
 
 def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
@@ -232,9 +240,8 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
 
     Below the crossover rule, from ``sweep(p, d, e)``; from it on, by
     Fiduccia's method on the recurrence of (t - 1) chi, which k obeys from
-    k_1 on (module docstring), so no sweep runs past c_{n+2}: with
-    r = t^(e-2) modulo (t - 1) chi, k_{e-1} = sum r_i k_{1+i} and
-    k_e = sum r_i k_{2+i}, and c_e is their difference.
+    k_1 on (module docstring): one Hankel finish gives k_{e-1} and k_e, and
+    c_e is their difference.
     """
     if e < 0:
         raise ValueError("e must be >= 0")
@@ -243,12 +250,11 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
         c = sweep(p, d, min(e, 2) if n < 1 else e)
         return c[-1], sum(c)
     system = build_system(p, d)
-    k = list(accumulate(sweep(p, d, n + 2, system)))  # k_0..k_{n+2}, by the matrix
+    k = list(accumulate(sweep(p, d, 2 * n + 3, system)))[1:]  # k_1..k_{2n+3}, by the matrix
     chi = char_poly(system.matrix).coeffs
     # (t - 1) chi has coefficient a_{m-1} - a_m at t^m
-    r = _power_of_t(e - 2, _recurrence(tuple(map(sub, (0, *chi), (*chi, 0)))))
-    k_e = sum(map(mul, r, k[2:]))
-    return k_e - sum(map(mul, r, k[1:])), k_e
+    before, k_e = _hankel_finish(k, tuple(map(sub, (0, *chi), (*chi, 0))), e - 2, (0, 1))
+    return k_e - before, k_e
 
 
 def iter_counts(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -12,7 +13,6 @@ from frobcx.spectral import (
     log2_interval,
     log_of_interval,
     perron_interval,
-    _trim,
 )
 from frobcx.transfer import CharPoly, build_system
 
@@ -53,12 +53,16 @@ def test_perron_zero_and_trimmed_matrices():
     est = perron_interval([[0, 0], [0, 0]], "1e-6")
     assert (est.lo, est.hi) == (0, 0)
     assert est.sign_change is None
-    # nilpotent: strictly upper triangular, radius 0 after trimming
+    # nilpotent: strictly upper triangular, no cycle and radius 0
     est = perron_interval([[0, 5], [0, 0]], "1e-6")
     assert (est.lo, est.hi) == (0, 0)
-    # a zero row/column hides a diagonal block; trimming must not lose it
+    # a zero row/column beside a diagonal block, which must not be lost
     est = perron_interval([[3, 0], [9, 0]], "1e-6")
     assert (est.lo, est.hi) == (3, 3)
+    # the sign is chi's of the whole matrix, x (x - 1), which is positive at
+    # lo - tol = -9: no sign change, where chi of [1] alone, x - 1, gives one
+    est = perron_interval([[1, 1], [0, 0]], 10)
+    assert (est.lo, est.hi, est.sign_change) == (1, 1, False)
 
 
 def test_perron_rejects_bad_input():
@@ -81,13 +85,13 @@ def test_perron_contains_golden_ratio_style_root():
 
 
 def test_perron_unconverged_interval_is_still_valid(monkeypatch):
-    # power steps on this periodic matrix alternate between two vectors with
-    # ratios 1 and 2, so after 4n + 16 = 24 of them comes an inverse step;
-    # with every solve failing, the loop stops there, and the interval it
-    # returns still holds the radius sqrt(2)
+    # this periodic matrix has no positive diagonal entry, so its first step,
+    # with ratios 1 and 2, is followed by an inverse step; with every solve
+    # failing, the loop stops there, and the interval it returns still holds
+    # the radius sqrt(2)
     monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
     est = perron_interval([[0, 2], [1, 0]], Fraction(1, 10**12))
-    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 24, False)
+    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 1, False)
 
 
 def test_perron_converges_on_a_reducible_matrix():
@@ -107,8 +111,9 @@ def test_perron_converges_at_a_width_equal_to_tol():
 
 
 def test_perron_converges_on_a_periodic_matrix():
-    # power steps alternate between two vectors here and never tighten;
-    # the shifted inverse steps converge to sqrt(2)
+    # power steps would alternate between two vectors here and never
+    # tighten; with no positive diagonal entry the block takes shifted
+    # inverse steps only, which converge to sqrt(2)
     est = perron_interval([[0, 2], [1, 0]], "1e-6")
     assert est.converged and est.width <= Fraction(1, 10**6)
     assert est.lo**2 <= 2 <= est.hi**2
@@ -148,9 +153,8 @@ def reference_radius(matrix):
 @example([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
 @example([[3, 0, 0, 2, 0], [0, 3, 0, 0, 0], [0, 0, 0, 0, 2], [0, 0, 0, 0, 0], [1, 1, 0, 0, 1]])
 def test_perron_contains_reference_radius(matrix):
-    # zero rows and columns, including those left only by earlier deletions
-    # (index 3 above, once 0 and 2 go), must all be trimmed, or a ratio gets
-    # a zero denominator
+    # indices on no cycle, such as 3 above, which only 0 and 2 lead to or
+    # from, must lie in no block, or a ratio gets a zero denominator
     est = perron_interval(matrix, Fraction(1, 10**6))
     radius = reference_radius(matrix)
     # a defective eigenvalue is computed only to about eps^(1/n)
@@ -161,14 +165,19 @@ def test_perron_contains_reference_radius(matrix):
 
 @settings(max_examples=80, deadline=None)
 @given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4)),
-       st.sampled_from([Fraction("1e-3"), Fraction("1e-6"), Fraction("1e-9")]))
+       st.sampled_from([Fraction(10), Fraction(1, 7), Fraction("1e-3"), Fraction("1e-6"),
+                        Fraction("1e-9")]))
 @example([[2, 1], [0, 1]], Fraction("1e-6"))
 @example([[2, 1, 0], [0, 2, 1], [0, 0, 2]], Fraction("1e-6"))  # a Jordan block at the radius
 @example([[0, 4, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]], Fraction("1e-9"))  # periodic
+@example([[0, 4462], [9407, 0]], Fraction(10))  # periodic: power steps never narrow it
+@example([[0, 267], [17, 1]], Fraction(10))  # nearly periodic: power steps barely narrow it
 def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
     # each block is enclosed alone, so a reducible matrix converges too, also
-    # when its Perron vector has zero entries (a tol much coarser than these
-    # can leave a periodic block at its step cap)
+    # when its Perron vector has zero entries; a block with no positive
+    # diagonal entry, as every periodic one, takes inverse steps only, and
+    # inverse steps have an allowance of their own after the power steps,
+    # so coarse tols converge too
     est = perron_interval(matrix, tol)
     assert est.converged and est.width <= tol
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as above
@@ -206,7 +215,8 @@ def fraction_block_interval(rows, tol):
     # perron_interval's loop on one block as it was with one Fraction per
     # ratio: the reference for its integer-pair loop
     n = len(rows)
-    cap = 5 * n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
+    powers = 4 * n + 16 if any(rows[i][i] for i in range(n)) else 0
+    cap = powers + n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
     x = [1] * n
     lo, hi = Fraction(0), Fraction(max(map(sum, rows)))
     it = 0
@@ -218,7 +228,7 @@ def fraction_block_interval(rows, tol):
         it += 1
         if hi - lo <= tol:
             break
-        if it < 4 * n + 16 and (hi - lo) * 256 > hi:
+        if it < powers and (hi - lo) * 256 > hi:
             shift = max(0, min(y).bit_length() - 32)
             x = [v >> shift for v in y]
             continue
@@ -236,12 +246,12 @@ def fraction_block_interval(rows, tol):
 def fraction_perron_interval(matrix, tol):
     # the reference for perron_interval: the Fraction loop on each block of
     # reference_blocks, the largest ends of their intervals, and the sign
-    # check of the whole trimmed matrix's polynomial
-    rows = _trim(spectral._validate_matrix(matrix))
-    if not rows:
+    # check of the whole matrix's polynomial
+    rows = spectral._validate_matrix(matrix)
+    if not (blocks := reference_blocks(rows)):
         return spectral.SpectralEstimate(0, 0)
     found = [fraction_block_interval([[rows[i][j] for j in b] for i in b], tol)
-             for b in reference_blocks(rows)]
+             for b in blocks]
     lo, hi = max(f[0] for f in found), max(f[1] for f in found)
     poly = char_poly(rows)
     sign_change = horner(poly, lo - tol) < 0 < horner(poly, hi + tol)
@@ -255,7 +265,8 @@ def fraction_perron_interval(matrix, tol):
                         Fraction("1e-40"), Fraction("1e-100"), Fraction("1e-300")]))
 @example([[0, 2], [1, 0]], Fraction("1e-40"))  # periodic
 @example([[2, 1, 0], [0, 3, 0], [0, 5, 1]], Fraction("1e-9"))  # reducible
-@example([[0, 1], [0, 0]], Fraction(1, 7))  # trimmed to nothing
+@example([[0, 1], [0, 0]], Fraction(1, 7))  # no cycle
+@example([[1, 1], [0, 0]], Fraction(10))  # chi = x (x - 1) > 0 at lo - tol = -9
 @example([[10**4] * 8] * 8, Fraction("1e-40"))
 @example(build_system(3, 8).matrix, Fraction("1e-300"))  # the CLI's narrowest
 def test_perron_matches_the_fraction_ratio_scan(matrix, tol):
@@ -582,40 +593,37 @@ def test_frobenius_complexity_meets_its_width(tol):
         assert out.radius.lo <= out.radius.hi
 
 
-def _strongly_connected(matrix) -> bool:
-    # index 0 reaches every index along nonzero entries, and every index
-    # reaches index 0
-    n = len(matrix)
-    for edges in (matrix, tuple(zip(*matrix))):
-        seen, stack = {0}, [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if edges[i][j] and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) < n:
-            return False
-    return True
-
-
 def test_growth_rate_is_the_spectral_radius():
     # c_e = w . U^(e-2) x0 for e >= 2.  An irreducible U with a positive
     # diagonal is primitive, so U^k / rho^k tends to v u^T with positive
     # Perron vectors v and u, u . v = 1; nonnegative, nonzero w and x0 give
     # c_e ~ (w . v)(u . x0) rho^(e-2), both factors positive, and so
-    # c_e^(1/e) -> rho.  Trimming removes nothing, so perron_interval
-    # encloses the radius of this same U.
-    assert not _strongly_connected(((1, 1), (0, 1)))
+    # c_e^(1/e) -> rho.  One block holds every index, so perron_interval
+    # encloses the radius of this same U in one piece.
+    assert spectral._blocks(((1, 1), (0, 1))) == {(0,), (1,)}
     for p in (2, 3, 5, 7, 11):
         for d in range(3, 30):
             system = build_system(p, d)
             u = system.matrix
-            assert _trim(u) == u, (p, d)
             assert all(u[i][i] > 0 for i in range(len(u))), (p, d)
-            assert _strongly_connected(u), (p, d)
+            assert spectral._blocks(u) == {tuple(range(len(u)))}, (p, d)
             for vector in (system.x0, system.weights):
                 assert min(vector) >= 0 and any(vector), (p, d)
+
+
+def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():
+    # as p grows, U / p^(d-1) tends to a rank-one matrix of eigenvalue
+    # alpha_d = 1 - 1/(d-1)!, and rho / p^(d-1) falls towards alpha_d.  The
+    # upper end is proved: column j of U sums to p^(d-1) - M_d(p - 1 - j),
+    # less at j = 1, and U is irreducible.  The lower end, alpha_d p^(d-1)
+    # < rho, is observed on this grid, not proved.  The width is far below
+    # the least gap, about 2e-14 p^(d-1) at (13, 12)
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for d in range(3, 13 if p < 101 else 9):
+            top = p ** (d - 1)
+            radius = perron_interval(build_system(p, d).matrix, Fraction(top, 10**20))
+            assert (1 - Fraction(1, factorial(d - 1))) * top < radius.lo, (p, d)
+            assert radius.hi < top, (p, d)
 
 
 def test_frobenius_complexity_rejects_small_d():

@@ -48,6 +48,28 @@ def test_build_system_rejects_small_d():
         build_system(2, 2)
 
 
+def _digit_count(p, d, m):
+    # M_d(m), the number of ways d digits in 0..p-1 sum to m, by
+    # inclusion-exclusion over the digits forced to p or more: no table
+    if m < 0:
+        return 0
+    return sum((-1) ** j * comb(d, j) * comb(m - j * p + d - 1, d - 1)
+               for j in range(min(d, m // p) + 1))
+
+
+def test_build_system_entries_by_inclusion_exclusion():
+    # every entry of U, x0 and the weights is one M_d(p*i - j + p - 1),
+    # i, j = 0..d-2: U takes i, j >= 1, x0 j = 0 and the weights i = 0
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for d in range(3, 13):
+            n, system = d - 2, build_system(p, d)
+            full = [[_digit_count(p, d, p * i - j + p - 1) for j in range(n + 1)]
+                    for i in range(n + 1)]
+            assert system.matrix == tuple(tuple(row[1:]) for row in full[1:]), (p, d)
+            assert system.x0 == tuple(row[0] for row in full[1:]), (p, d)
+            assert system.weights == tuple(full[0][1:]), (p, d)
+
+
 def test_state_iterates_matrix_powers():
     sys24 = build_system(2, 4)
     assert state(sys24, 0) == (4, 0)
@@ -150,12 +172,14 @@ def test_power_of_t_equals_steps_of_one_degree(recurrence, j):
 @pytest.mark.parametrize("d", range(3, 11))
 def test_far_terms_equal_the_sweep_for_both_parities(d):
     # from the crossover T on, Fiduccia's method with its last squaring as a
-    # Hankel form in c_2..c_{2n+1}: e - 2 even and odd, n = 1..8
+    # Hankel form, in c_2..c_{2n+1} for one term and in k_1..k_{2n+3} for a
+    # term and its partial sum: e - 2 even and odd, n = 1..8
     t = crossover(d)
     for p in (2, 3, 5):
         c = sweep(p, d, 1001)
         for e in (t, t + 1, t + 2, t + 3, 1000, 1001):
             assert complexity_term(p, d, e) == c[e], (p, d, e)
+            assert term_and_sum(p, d, e) == (c[e], sum(c[:e + 1])), (p, d, e)
 
 
 # emax up to 60 puts d <= 14 on both sides of the sweep's crossover, emax
