@@ -7,7 +7,8 @@
    possible interior carry vectors.  Cost (d-2)^(e-1).
 3. transfer: evolve a census vector by a fixed (d-2)x(d-2) integer matrix.
    A far term takes O(log e) polynomial products modulo the matrix's
-   characteristic polynomial (Fiduccia); small ones, binary powering.
+   characteristic polynomial (Fiduccia); a near one is the last count of
+   a matrix sweep.
 
 They must agree to the last digit, and do.
 """

@@ -53,7 +53,7 @@ from .enumeration import (
     count_basis_carryvectors,
     count_basis_enumeration,
 )
-from .errors import GuardExceeded
+from .errors import GuardExceeded, NotConverged
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
@@ -474,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
+        return 2
+    except NotConverged as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

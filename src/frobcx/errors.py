@@ -18,3 +18,11 @@ class GuardExceeded(RuntimeError):
         super().__init__(
             f"{what}: {needed} iterations needed, guard is {limit}"
         )
+
+
+class NotConverged(RuntimeError):
+    """A certified enclosure stopped short of its requested width.
+
+    Its interval is still valid, only wider than asked; it stops at a
+    deterministic step cap or at a failed step, never on a timer.
+    """

@@ -54,10 +54,8 @@ def build_table(p: int, d: int) -> PoincareTable:
     downstream engines.
     """
     p = Prime(p)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    coeffs, pad = [1] * p, [0] * (p - 1)
-    for _ in range(d - 1):
-        pre = list(accumulate(pad + coeffs + pad, initial=0))
+    coeffs = [1]  # the 0th power, so PoincareTable refuses d < 1 before any list of size p
+    for _ in range(d):
+        pre = list(accumulate([0] * (p - 1) + coeffs + [0] * (p - 1), initial=0))
         coeffs = list(map(sub, pre[p:], pre))
     return PoincareTable(p, d, tuple(coeffs))

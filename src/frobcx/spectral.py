@@ -10,11 +10,14 @@ Fraction that provably brackets the target.
   keep the record monotone, so the interval is valid however x was found
   (power steps, then shifted inverse iteration) and if the loop stops early.
   Each strongly connected block of the whole matrix is enclosed alone, and
-  one with no positive diagonal entry, perhaps periodic, takes inverse steps
-  only.  lo, hi and tol stay integer pairs, as do an inverse step's shift
-  sigma and the ratios hi / width and hi / tol that set its precision
-  (unreduced); the sign of chi, the whole matrix's, at a / b, b > 0, is that
-  of b^n chi(a / b), n = deg chi, which Horner's rule gives in integers.
+  every block has one schedule: power steps while the width exceeds hi / 256,
+  then inverse steps at sigma = hi + min(hi - lo, hi / 256).  The capped
+  offset keeps sigma near hi while the bracket is wide, as on a periodic
+  block, where power steps never narrow; Noda (1971) shifts to hi itself.
+  lo, hi and tol stay integer pairs, as do sigma and the ratios hi / offset
+  and hi / tol that set an inverse step's precision (unreduced); the sign of
+  chi, the whole matrix's, at a / b, b > 0, is that of b^n chi(a / b), n =
+  deg chi, which Horner's rule gives in integers.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -52,6 +55,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .basep import Prime
+from .errors import NotConverged
 from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
 
 
@@ -142,13 +146,13 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 
     Each strongly connected block with a cycle is enclosed alone: the radius
     is the largest block's, in [max lo, max hi], and 0 if there is none.  In
-    a block of size n, up to a = 4n + 16 power steps x -> Ux bring the width
-    to hi / 2^8, then shifted inverse iteration (Wielandt) converges fast.  A
-    block with no positive diagonal entry may be periodic, where power steps
-    never narrow, so it takes inverse steps from the first on (a = 0).  At
-    the cap of a + n + 16 + b steps, b = bits(ceil(1/tol)), or if a step
-    finds no positive x, the block's best interval so far is taken (not
-    converged).
+    a block of size n, up to 4n + 16 power steps x -> Ux bring the width to
+    hi / 2^8, then shifted inverse iteration (Wielandt) at sigma = hi +
+    min(hi - lo, hi / 2^8) converges fast.  On a periodic block power steps
+    never narrow, and the cap on the shift's offset keeps sigma within
+    hi / 2^8 of hi.  At the cap of 5n + 32 + b steps, b = bits(ceil(1/tol)),
+    or if a step finds no positive x, the block's best interval so far is
+    taken (not converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
@@ -170,8 +174,7 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
     # (lo, hi, steps) for one irreducible block; inside, lo, hi and tol = tn / td are pairs
     n = len(rows)
-    powers = 4 * n + 16 if any(rows[i][i] for i in range(n)) else 0  # else perhaps periodic
-    cap = powers + n + 16 + (-(-td // tn)).bit_length()
+    cap = 5 * n + 32 + (-(-td // tn)).bit_length()  # 4n + 16 power steps, n + 16 + b inverse
     x = [1] * n
     ln, ld, hn, hd = 0, 1, max(map(sum, rows)), 1  # hi: the first step's bound, as x is all ones
     for it in range(1, cap + 1):
@@ -189,18 +192,21 @@ def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
         width = hn * ld - ln * hd  # (hi - lo) hd ld
         if width * td <= tn * hd * ld:
             break
-        if it < powers and width * 256 > hn * ld:
+        if it < 4 * n + 16 and width * 256 > hn * ld:
             shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
             x = [v >> shift for v in y]
             continue
-        # inverse step at sigma = hi + width > rho: (sigma I - U)^-1 >= I / sigma,
-        # so the exact z is positive.  bits cover x's range, log2(hi / width)
-        # for the solve and as many again (to tol) for the next width; a
-        # failed solve is retried with twice the bits, at most four times
-        gap = _floor_log2(hn * ld, width) + 1
+        # inverse step at sigma = hi + min(hi - lo, hi / 256) > rho, with the
+        # offset capped so that sigma follows hi on a wide bracket, as on a
+        # periodic block: (sigma I - U)^-1 >= I / sigma, so the exact z is
+        # positive.  bits cover x's range, gap = log2(hi / offset) (9 under
+        # the cap) for the solve and as many again (to tol) for the next
+        # width; a failed solve is retried with twice the bits, at most four times
+        gap = max(9, _floor_log2(hn * ld, width) + 1)
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
                 + min(gap, max(0, _floor_log2(hn * td, hd * tn) + 1)))
-        tries = (_shifted_solve(rows, hn * ld + width, hd * ld, x, bits << t) for t in range(5))
+        sn, sd = 256 * hn * ld + min(256 * width, hn * ld), 256 * hd * ld  # sigma, unreduced
+        tries = (_shifted_solve(rows, sn, sd, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
     return Fraction(ln, ld), Fraction(hn, hd), it
@@ -318,6 +324,7 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     Converged, [lo, hi] has hi >= m and hi - lo <= delta <= m / 4, so lo >=
     3m / 4 and ln(hi / lo) <= delta / lo <= min(tol, 1) / 3; as ln p > 2/3,
     log_p(hi / lo) <= min(tol, 1) / 2, and each logarithm adds <= tol / 4.
+    An enclosure that stops short of delta raises ``NotConverged``.
     """
     p = Prime(p)
     if d < 3:
@@ -329,5 +336,8 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     system = build_system(p, d)
     m = max(row[i] for i, row in enumerate(system.matrix))
     est = perron_interval(system.matrix, min(tol, 1) * min(m, 4) / 4)
+    if not est.converged:
+        raise NotConverged(f"the growth-rate enclosure stopped after {est.iterations} "
+                           "steps, wider than its tolerance")
     out = log_of_interval(est.lo, est.hi, p, tol / 4)
     return ComplexityInterval(out.lo, out.hi, est)

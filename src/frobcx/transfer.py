@@ -231,7 +231,7 @@ def complexity_term(p: int, d: int, e: int) -> int:
     if n < 1 or not _chi_pays(n, e):
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
-    c = sweep(p, d, 2 * n + 1, system)[2:]  # c_2..c_{2n+1}, by the matrix
+    c = list(iter_counts(p, d, 2 * n + 1, system))[2:]  # c_2..c_{2n+1}, by the matrix
     return _hankel_finish(c, char_poly(system.matrix).coeffs, e - 2, (0,))[0]
 
 
@@ -250,7 +250,7 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
         c = sweep(p, d, min(e, 2) if n < 1 else e)
         return c[-1], sum(c)
     system = build_system(p, d)
-    k = list(accumulate(sweep(p, d, 2 * n + 3, system)))[1:]  # k_1..k_{2n+3}, by the matrix
+    k = list(accumulate(iter_counts(p, d, 2 * n + 3, system)))[1:]  # k_1..k_{2n+3}, by the matrix
     chi = char_poly(system.matrix).coeffs
     # (t - 1) chi has coefficient a_{m-1} - a_m at t^m
     before, k_e = _hankel_finish(k, tuple(map(sub, (0, *chi), (*chi, 0))), e - 2, (0, 1))
@@ -312,11 +312,9 @@ def _counts(p: Prime, d: int, emax: int, system: TransferSystem | None, number) 
             yield recent[-1]
 
 
-def sweep(
-    p: int, d: int, emax: int, system: TransferSystem | None = None, number=int
-) -> list:
-    """The counts c_0..c_emax as a list: ``list(iter_counts(...))``."""
-    return list(iter_counts(p, d, emax, system, number))
+def sweep(p: int, d: int, emax: int) -> list[int]:
+    """The counts c_0..c_emax as a list: ``list(iter_counts(p, d, emax))``."""
+    return list(iter_counts(p, d, emax))
 
 
 # not exported; kept for state, which perfbench/tests/test_checker.py calls

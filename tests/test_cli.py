@@ -14,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobcx import spectral
 from frobcx.basep import Prime
 from frobcx.cli import (
     AUTO_ENUMERATE_LIMIT, EXACT, ENGINE_TERMS, _CHUNK, _resolve_engine, _sequence_counts,
@@ -21,7 +22,7 @@ from frobcx.cli import (
     render_json,
 )
 from frobcx.enumeration import composition_count, count_basis_carryvectors
-from frobcx.transfer import complexity_term, sweep
+from frobcx.transfer import complexity_term, iter_counts, sweep
 from fractions import Fraction
 
 
@@ -228,6 +229,16 @@ def test_guard_env_var(capsys, monkeypatch):
         "--engine", "enumerate",
     )
     assert code == 1
+
+
+def test_unconverged_enclosure_exits_2(capsys, monkeypatch):
+    # with every solve failing, the (2, 6) radius enclosure stops at its
+    # first inverse step, wider than tol: refused on stderr, nothing printed
+    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
+    for command in ("complexity", "segre"):
+        assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
+            "not converged: the growth-rate enclosure stopped after 10 steps, "
+            "wider than its tolerance\n"))
 
 
 def test_guard_falls_back_when_the_flag_is_left_out(capsys, monkeypatch):
@@ -539,9 +550,9 @@ def test_exact_context_traps_rounding():
     narrow.prec = 50  # c_e for (2, 4) passes 50 digits near e = 60
     with decimal.localcontext(narrow):
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
-            sweep(2, 4, 200, number=decimal.Decimal)
+            list(iter_counts(2, 4, 200, number=decimal.Decimal))
     with decimal.localcontext(EXACT):
-        assert sweep(2, 4, 200, number=decimal.Decimal) == sweep(2, 4, 200)
+        assert list(iter_counts(2, 4, 200, number=decimal.Decimal)) == sweep(2, 4, 200)
 
 
 def test_main_restores_the_decimal_context(capsys):

@@ -25,7 +25,7 @@ def test_coeff_outside_range_is_zero():
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_table(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be >= 1"):  # PoincareTable's refusal
         build_table(2, 0)
     with pytest.raises(ValueError):
         PoincareTable(2, 2, (1, 2, 1, 7))  # wrong length

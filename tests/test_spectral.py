@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcx import spectral
+from frobcx.errors import NotConverged
 from frobcx.spectral import (
     RationalInterval,
     char_poly,
@@ -85,13 +86,13 @@ def test_perron_contains_golden_ratio_style_root():
 
 
 def test_perron_unconverged_interval_is_still_valid(monkeypatch):
-    # this periodic matrix has no positive diagonal entry, so its first step,
-    # with ratios 1 and 2, is followed by an inverse step; with every solve
+    # power steps never narrow this periodic matrix from its ratios 1 and 2,
+    # so its 4n + 16 = 24th step is its first inverse step; with every solve
     # failing, the loop stops there, and the interval it returns still holds
     # the radius sqrt(2)
     monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
     est = perron_interval([[0, 2], [1, 0]], Fraction(1, 10**12))
-    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 1, False)
+    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 24, False)
 
 
 def test_perron_converges_on_a_reducible_matrix():
@@ -111,9 +112,9 @@ def test_perron_converges_at_a_width_equal_to_tol():
 
 
 def test_perron_converges_on_a_periodic_matrix():
-    # power steps would alternate between two vectors here and never
-    # tighten; with no positive diagonal entry the block takes shifted
-    # inverse steps only, which converge to sqrt(2)
+    # power steps alternate between two vectors here and never tighten;
+    # the shifted inverse steps after them, at sigma = hi + hi / 256 while
+    # the bracket is wide, converge to sqrt(2)
     est = perron_interval([[0, 2], [1, 0]], "1e-6")
     assert est.converged and est.width <= Fraction(1, 10**6)
     assert est.lo**2 <= 2 <= est.hi**2
@@ -172,12 +173,19 @@ def test_perron_contains_reference_radius(matrix):
 @example([[0, 4, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]], Fraction("1e-9"))  # periodic
 @example([[0, 4462], [9407, 0]], Fraction(10))  # periodic: power steps never narrow it
 @example([[0, 267], [17, 1]], Fraction(10))  # nearly periodic: power steps barely narrow it
+# weakly coupled: an uncapped shift hi + (hi - lo) stays far above the radius
+# here, and these stop at the cap, at [5.32, 25.37] and [6749.7, 7307.0]
+@example([[0, 0, 1, 0, 2], [3, 0, 5250, 3, 3215], [0, 0, 0, 1, 0], [3, 3, 3, 0, 0],
+          [1, 0, 0, 0, 0]], Fraction(1, 7))
+@example([[0, 3, 0, 2, 0, 0], [2, 4204, 3, 0, 0, 8689], [1, 0, 2, 1, 1, 1], [0, 2, 3, 7307, 2, 0],
+          [0, 1, 0, 0, 1, 3], [0, 1, 0, 0, 8617, 6376]], Fraction(10))
 def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
     # each block is enclosed alone, so a reducible matrix converges too, also
-    # when its Perron vector has zero entries; a block with no positive
-    # diagonal entry, as every periodic one, takes inverse steps only, and
-    # inverse steps have an allowance of their own after the power steps,
-    # so coarse tols converge too
+    # when its Perron vector has zero entries; every inverse step shifts to
+    # at most hi + hi / 256, so a periodic or nearly periodic block, where
+    # power steps never or barely narrow, converges too, and inverse steps
+    # have an allowance of their own after the power steps, so coarse tols
+    # converge too
     est = perron_interval(matrix, tol)
     assert est.converged and est.width <= tol
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as above
@@ -215,8 +223,7 @@ def fraction_block_interval(rows, tol):
     # perron_interval's loop on one block as it was with one Fraction per
     # ratio: the reference for its integer-pair loop
     n = len(rows)
-    powers = 4 * n + 16 if any(rows[i][i] for i in range(n)) else 0
-    cap = powers + n + 16 + (-((-tol.denominator) // tol.numerator)).bit_length()
+    cap = 5 * n + 32 + (-((-tol.denominator) // tol.numerator)).bit_length()
     x = [1] * n
     lo, hi = Fraction(0), Fraction(max(map(sum, rows)))
     it = 0
@@ -228,15 +235,16 @@ def fraction_block_interval(rows, tol):
         it += 1
         if hi - lo <= tol:
             break
-        if it < powers and (hi - lo) * 256 > hi:
+        if it < 4 * n + 16 and (hi - lo) * 256 > hi:
             shift = max(0, min(y).bit_length() - 32)
             x = [v >> shift for v in y]
             continue
         # reduced pairs, where perron_interval passes unreduced ones
-        gap = spectral._floor_log2(*(hi / (hi - lo)).as_integer_ratio()) + 1
+        offset = min(hi - lo, hi / 256)
+        gap = spectral._floor_log2(*(hi / offset).as_integer_ratio()) + 1
         bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
                 + min(gap, max(0, spectral._floor_log2(*(hi / tol).as_integer_ratio()) + 1)))
-        sigma = (2 * hi - lo).as_integer_ratio()
+        sigma = (hi + offset).as_integer_ratio()
         tries = (spectral._shifted_solve(rows, *sigma, x, bits << t) for t in range(5))
         if (x := next(filter(None, tries), None)) is None:
             break
@@ -593,6 +601,13 @@ def test_frobenius_complexity_meets_its_width(tol):
         assert out.radius.lo <= out.radius.hi
 
 
+def test_frobenius_complexity_refuses_an_unconverged_enclosure(monkeypatch):
+    # the enclosure is valid but wider than tol, so no interval is returned
+    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
+    with pytest.raises(NotConverged, match="stopped after 10 steps"):
+        frobenius_complexity(2, 6, "1e-9")
+
+
 def test_growth_rate_is_the_spectral_radius():
     # c_e = w . U^(e-2) x0 for e >= 2.  An irreducible U with a positive
     # diagonal is primitive, so U^k / rho^k tends to v u^T with positive
@@ -624,6 +639,19 @@ def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():
             radius = perron_interval(build_system(p, d).matrix, Fraction(top, 10**20))
             assert (1 - Fraction(1, factorial(d - 1))) * top < radius.lo, (p, d)
             assert radius.hi < top, (p, d)
+
+
+def test_complexity_lies_between_its_large_p_limit_and_d_minus_1():
+    # the radius bounds above through log_p: d - 1 + log_p alpha_d < lo and
+    # hi < d - 1, the lower end observed, not proved.  The least lower margin
+    # on this grid is about 7e-15, so tol is far below it
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for d in range(3, 13 if p < 101 else 9):
+            out = frobenius_complexity(p, d, Fraction(1, 10**30))
+            assert out.hi < d - 1, (p, d)
+            with mpmath.workdps(60):
+                limit = d - 1 + mpmath.log(1 - 1 / mpmath.factorial(d - 1), p)
+                assert mpmath.mpf(out.lo.numerator) / out.lo.denominator > limit, (p, d)
 
 
 def test_frobenius_complexity_rejects_small_d():

@@ -201,9 +201,9 @@ def test_sweep_equals_the_matrix_powers(p, d, emax, faulted):
     if faulted:
         system = cli._faulted(system)
     expected = [0, comb(d + p - 2, p - 1)] + [_by_powering(system, e) for e in range(2, emax + 1)]
-    assert sweep(p, d, emax, system) == expected[:emax + 1]
+    assert list(iter_counts(p, d, emax, system)) == expected[:emax + 1]
     with localcontext(cli.EXACT):
-        decimals = sweep(p, d, emax, system, number=Decimal)
+        decimals = list(iter_counts(p, d, emax, system, number=Decimal))
     assert [str(c) for c in decimals] == [str(c) for c in expected[:emax + 1]]
     if faulted and emax >= 3:
         assert decimals[3] > complexity_term(p, d, 3)
@@ -330,14 +330,14 @@ def test_sequence_agrees_with_term_calls():
 
 def test_sequence_runs_a_given_system():
     system = build_system(2, 4)
-    assert sweep(2, 4, 8, system) == list(complexity_sequence(2, 4, 8).c)
+    assert list(iter_counts(2, 4, 8, system)) == list(complexity_sequence(2, 4, 8).c)
     bumped = TransferSystem(2, 4, ((7, 4), (1, 4)), system.x0, system.weights)
-    c = sweep(2, 4, 4, bumped)
+    c = list(iter_counts(2, 4, 4, bumped))
     assert c[:3] == [0, 4, 4] and c[3] == 28  # U x0 = (28, 4) weighs in at e=3
     with pytest.raises(ValueError):
-        sweep(2, 5, 4, system)
+        list(iter_counts(2, 5, 4, system))
     with pytest.raises(ValueError):
-        sweep(3, 4, 4, system)
+        list(iter_counts(3, 4, 4, system))
 
 
 def test_count_generator_checks_its_arguments_when_called():
