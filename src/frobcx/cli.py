@@ -53,7 +53,7 @@ from .enumeration import (
     count_basis_carryvectors,
     count_basis_enumeration,
 )
-from .errors import GuardExceeded, NotConverged
+from .errors import GuardExceeded, NotCertified, NotConverged
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
@@ -477,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
+        return 2
+    except NotCertified as exc:
+        print(f"not certified: {exc}", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

@@ -26,3 +26,13 @@ class NotConverged(RuntimeError):
     Its interval is still valid, only wider than asked; it stops at a
     deterministic step cap or at a failed step, never on a timer.
     """
+
+
+class NotCertified(RuntimeError):
+    """A condition that a printed result's meaning rests on does not hold.
+
+    ``frobenius_complexity`` prints log_p of the transfer matrix's spectral
+    radius as the growth rate of the counts, which holds when the matrix is
+    primitive and its seed and weights are nonnegative and nonzero; the
+    message names the condition that failed.
+    """

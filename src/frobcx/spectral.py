@@ -39,12 +39,15 @@ Fraction that provably brackets the target.
   the sizes of lo and hi.
 
 ``char_poly`` and ``CharPoly`` are defined in ``transfer``, whose count
-recurrence needs them, and re-exported here.
+recurrence needs them, and re-exported here: chi is exact, from a Krylov
+basis by p-adic lifting from dimension 12 on and by Berkowitz's
+division-free method below it or where the Krylov basis is singular.
 
 The growth rate of the counts is this spectral radius, as the transfer
-matrix is primitive and its seed and weights nonnegative and nonzero:
+matrix is primitive and its seed and weights nonnegative and nonzero.
+``frobenius_complexity`` checks these conditions at run time, and
 tests/test_spectral.py's ``test_growth_rate_is_the_spectral_radius``
-checks this exactly for p in {2, 3, 5, 7, 11} and 3 <= d <= 29.
+checks the growth rate exactly for p in {2, 3, 5, 7, 11} and 3 <= d <= 29.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .basep import Prime
-from .errors import NotConverged
+from .errors import NotCertified, NotConverged
 from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
 
 
@@ -325,6 +328,12 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     3m / 4 and ln(hi / lo) <= delta / lo <= min(tol, 1) / 3; as ln p > 2/3,
     log_p(hi / lo) <= min(tol, 1) / 2, and each logarithm adds <= tol / 4.
     An enclosure that stops short of delta raises ``NotConverged``.
+
+    rho is the counts' growth rate when U is primitive and x0 and w are
+    nonnegative and nonzero: then w U^e x0 ~ rho^e (w v)(u x0) for Perron
+    vectors u, v > 0.  That is checked first, as U being one strongly
+    connected block (irreducible) with some U_ii > 0 (aperiodic); a failed
+    condition raises ``NotCertified``, naming it.
     """
     p = Prime(p)
     if d < 3:
@@ -335,6 +344,15 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     tol = _as_fraction(tol)
     system = build_system(p, d)
     m = max(row[i] for i, row in enumerate(system.matrix))
+    for holds, condition in (
+            (_blocks(system.matrix) == {tuple(range(system.dim))},
+             "the transfer matrix is one strongly connected block"),
+            (m > 0, "some diagonal entry of the transfer matrix is positive"),
+            (min(system.x0) >= 0 and any(system.x0), "x0 is nonnegative and nonzero"),
+            (min(system.weights) >= 0 and any(system.weights),
+             "the weights are nonnegative and nonzero")):
+        if not holds:
+            raise NotCertified(f"the growth rate is the spectral radius only if {condition}")
     est = perron_interval(system.matrix, min(tol, 1) * min(m, 4) / 4)
     if not est.converged:
         raise NotConverged(f"the growth-rate enclosure stopped after {est.iterations} "

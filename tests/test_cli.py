@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from frobcx.cli import (
     render_json,
 )
 from frobcx.enumeration import composition_count, count_basis_carryvectors
-from frobcx.transfer import complexity_term, iter_counts, sweep
+from frobcx.transfer import build_system, complexity_term, iter_counts, sweep
 from fractions import Fraction
 
 
@@ -239,6 +240,17 @@ def test_unconverged_enclosure_exits_2(capsys, monkeypatch):
         assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
             "not converged: the growth-rate enclosure stopped after 10 steps, "
             "wider than its tolerance\n"))
+
+
+def test_uncertified_growth_rate_exits_2(capsys, monkeypatch):
+    # with a zero seed census every count past c_1 is 0, and rho is no growth
+    # rate: refused on stderr, naming the failed condition, nothing printed
+    monkeypatch.setattr(spectral, "build_system",
+                        lambda p, d: replace(build_system(p, d), x0=(0,) * (d - 2)))
+    for command in ("complexity", "segre"):
+        assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
+            "not certified: the growth rate is the spectral radius only if "
+            "x0 is nonnegative and nonzero\n"))
 
 
 def test_guard_falls_back_when_the_flag_is_left_out(capsys, monkeypatch):

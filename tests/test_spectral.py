@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcx import spectral
-from frobcx.errors import NotConverged
+from frobcx.errors import NotCertified, NotConverged
 from frobcx.spectral import (
     RationalInterval,
     char_poly,
@@ -605,6 +606,30 @@ def test_frobenius_complexity_refuses_an_unconverged_enclosure(monkeypatch):
     # the enclosure is valid but wider than tol, so no interval is returned
     monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
     with pytest.raises(NotConverged, match="stopped after 10 steps"):
+        frobenius_complexity(2, 6, "1e-9")
+
+
+def _cycle(n):
+    return tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("change, condition", [
+    # the diagonal alone: n blocks of one index each
+    (lambda s: {"matrix": tuple(tuple(v * (i == j) for j, v in enumerate(row))
+                                for i, row in enumerate(s.matrix))},
+     "the transfer matrix is one strongly connected block"),
+    (lambda s: {"matrix": _cycle(s.dim)},  # irreducible, period n
+     "some diagonal entry of the transfer matrix is positive"),
+    (lambda s: {"x0": (0,) * s.dim}, "x0 is nonnegative and nonzero"),
+    (lambda s: {"weights": (-1, *s.weights[1:])}, "the weights are nonnegative and nonzero"),
+])
+def test_frobenius_complexity_refuses_an_uncertified_growth_rate(monkeypatch, change, condition):
+    def changed(p, d):
+        system = build_system(p, d)
+        return replace(system, **change(system))
+
+    monkeypatch.setattr(spectral, "build_system", changed)
+    with pytest.raises(NotCertified, match=f"spectral radius only if {condition}$"):
         frobenius_complexity(2, 6, "1e-9")
 
 

@@ -5,15 +5,18 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobcx import cli
+from frobcx import cli, transfer
 from frobcx.closedform import closed_form_d3
 from frobcx.enumeration import count_basis_carryvectors, count_basis_enumeration
 from frobcx.transfer import (
     ComplexityReport,
     TransferSystem,
     _apply,
+    _berkowitz,
+    _krylov_chi,
     _power_of_t,
     build_system,
+    char_poly,
     complexity_sequence,
     complexity_term,
     iter_counts,
@@ -381,3 +384,125 @@ def test_census_states_stay_positive_in_first_slot(p, d):
     for e in range(1, 6):
         x = state(system, e)
         assert x[0] > 0
+
+
+# char_poly from the Krylov solve's first dimension on, against Berkowitz
+N0 = transfer._KRYLOV_MIN
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=N0, max_value=N0 + 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_char_poly_equals_berkowitz_on_signed_matrices(rows):
+    rows = tuple(map(tuple, rows))
+    reference = _berkowitz(rows)
+    assert _krylov_chi(rows) in (None, reference)
+    assert char_poly(rows).coeffs == reference
+
+
+def _derogatory(kind, n, data):
+    # an n x n matrix whose minimal polynomial has degree < n, so that every
+    # Krylov basis is singular, with its characteristic polynomial where a
+    # closed form gives it (low coefficient first), else None
+    entries = st.integers(min_value=-9, max_value=9)
+    if kind == "scalar":
+        c = data.draw(entries)
+        return [[c * (i == j) for j in range(n)] for i in range(n)], tuple(
+            comb(n, k) * (-c) ** (n - k) for k in range(n + 1))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)], (0,) * n + (1,)
+    if kind == "nilpotent":  # strictly upper triangular with a zero first row: rank <= n - 2
+        rows = [[data.draw(entries) if 0 < i < j else 0 for j in range(n)] for i in range(n)]
+        return rows, (0,) * n + (1,)
+    if kind == "permutation":  # P v = v for v all ones
+        image = data.draw(st.permutations(range(n)))
+        return [[int(j == image[i]) for j in range(n)] for i in range(n)], None
+    m = n // 2  # diag(A, A), with a zero row and column when n is odd
+    a = [[data.draw(entries) for _ in range(m)] for _ in range(m)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][:m] = rows[i + m][m:2 * m] = a[i]
+    return rows, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["scalar", "zero", "nilpotent", "permutation", "double"]),
+       st.integers(min_value=N0, max_value=N0 + 6), st.data())
+def test_char_poly_of_derogatory_matrices_falls_back_to_berkowitz(kind, n, data):
+    rows, closed = _derogatory(kind, n, data)
+    rows = tuple(map(tuple, rows))
+    reference = _berkowitz(rows)
+    assert _krylov_chi(rows) is None
+    assert char_poly(rows).coeffs == reference
+    assert closed is None or reference == closed
+
+
+def test_char_poly_of_a_nonderogatory_nilpotent_matrix():
+    # the shift matrix has one Jordan block: its Krylov basis is triangular
+    # with a unit diagonal, and U^n v = 0 gives chi = t^n at once
+    shift = tuple(tuple(int(j == i + 1) for j in range(N0)) for i in range(N0))
+    assert _krylov_chi(shift) == (0,) * N0 + (1,)
+
+
+def test_char_poly_of_powers_of_two_past_the_order_of_2():
+    # the eigenvalues 1, 2, ..., 2^63 are distinct, so v = (1, ..., 1) is
+    # cyclic; modulo a prime in which 2 has order 64 or less, such as
+    # 2^61 - 1, two of them would meet, and the Krylov basis, a Vandermonde
+    # matrix in them, would be singular
+    n = 64
+    rows = tuple(tuple(2**i * (i == j) for j in range(n)) for i in range(n))
+    chi = [1]  # prod (t - 2^i), low coefficient first
+    for i in range(n):
+        chi = [u - 2**i * v for u, v in zip([0, *chi], [*chi, 0])]
+    assert _krylov_chi(rows) == tuple(chi)
+
+
+def test_transfer_chi_takes_the_krylov_path(monkeypatch):
+    # p = 2 to d = 40 holds certify's wide points, d 24..40; below N0 the
+    # Krylov solve is checked directly, as char_poly keeps Berkowitz there
+    grid = ([(2, d) for d in range(3, 41)] + [(p, d) for p in (3, 5) for d in range(3, 23)]
+            + [(p, d) for p in range(7, 102) if all(p % q for q in range(2, p))
+               for d in range(3, 11)])
+    systems = [build_system(p, d).matrix for p, d in grid]
+    references = [_berkowitz(rows) for rows in systems]
+
+    def refuse(rows):
+        raise AssertionError(f"Berkowitz ran at n = {len(rows)}")
+
+    monkeypatch.setattr(transfer, "_berkowitz", refuse)
+    for (p, d), rows, reference in zip(grid, systems, references):
+        got = char_poly(rows).coeffs if len(rows) >= N0 else _krylov_chi(rows)
+        assert got == reference, (p, d)
+
+
+def test_char_poly_survives_a_wrong_modular_digit(monkeypatch):
+    rows = build_system(2, 24).matrix
+    reference = _berkowitz(rows)
+    bound = len(rows) * (max(map(sum, rows)) + 1).bit_length() // 60 + 1
+    solve = transfer._solve_mod
+
+    def run(fault, faulted):
+        # (the Krylov solve's answer, its steps) with the digit x_0 of the
+        # steps that faulted() picks off by fault; char_poly stays right
+        calls = []
+
+        def wrong_digit(lu, r):
+            x = solve(lu, r)
+            calls.append(r)
+            return [x[0] + fault, *x[1:]] if faulted(len(calls)) else x
+
+        monkeypatch.setattr(transfer, "_solve_mod", wrong_digit)
+        out = _krylov_chi(rows), len(calls)
+        assert out[1] <= bound
+        assert char_poly(rows).coeffs == reference
+        return out
+
+    steps = run(0, lambda k: False)[1]
+    for at in range(1, steps + 1):  # off by 1, the last digit too: the division is inexact
+        assert run(1, lambda k: k == at) == (None, at)
+    # off by q, past the balanced range (x + 2q balances to x + q): once,
+    # later digits absorb it and r = 0 certifies the sum; at every step, r
+    # never reaches 0, and the step bound ends the loop
+    assert run(2 * transfer._Q, lambda k: k == 2)[0] == reference
+    assert run(2 * transfer._Q, lambda k: True) == (None, bound)
