@@ -16,8 +16,9 @@ digits and byte-identical to integer counts; it writes each as the sweep
 yields it and holds no list of them, so its memory stays bounded.  verify
 compares these same Decimal counts, taken from the same engine table.
 
-Exit codes: 0 success, 1 usage or validation error, 2 iteration guard
-exceeded, 3 verification mismatch.
+Exit codes: 0 success, 1 usage or validation error, 2 a deterministic
+stop (an iteration guard exceeded, a radius enclosure that did not
+converge or a growth rate that is not certified), 3 verification mismatch.
 
 Iteration guards for the enumeration engines default to 10^8 and can be
 set by --max-compositions / --max-carryvectors or the environment
@@ -53,7 +54,7 @@ from .enumeration import (
     count_basis_carryvectors,
     count_basis_enumeration,
 )
-from .errors import GuardExceeded, NotCertified, NotConverged
+from .errors import Stopped
 from .poincare import build_table
 # perron_interval is unused here; perfbench/tests/test_spans.py checks this import site
 from .spectral import _as_fraction, frobenius_complexity, perron_interval  # noqa: F401
@@ -78,7 +79,7 @@ _VERIFY_GRID = (  # (p, d range, emax): each level e = 1..emax is checked
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad usage; 2 is reserved for guards here
+    # argparse exits with code 2 on bad usage; 2 is reserved for stops here
     def error(self, message):
         raise ValueError(message)
 
@@ -472,14 +473,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return 2
-    except NotConverged as exc:
-        print(f"not converged: {exc}", file=sys.stderr)
-        return 2
-    except NotCertified as exc:
-        print(f"not certified: {exc}", file=sys.stderr)
+    except Stopped as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

@@ -57,7 +57,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .basep import Prime
 from .errors import NotCertified, NotConverged
 from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
 
@@ -335,12 +334,6 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     connected block (irreducible) with some U_ii > 0 (aperiodic); a failed
     condition raises ``NotCertified``, naming it.
     """
-    p = Prime(p)
-    if d < 3:
-        raise ValueError(
-            "complexity is defined here for d >= 3; for d <= 2 the counts "
-            "vanish beyond e = 1 and there is no growth rate to take a log of"
-        )
     tol = _as_fraction(tol)
     system = build_system(p, d)
     m = max(row[i] for i, row in enumerate(system.matrix))
@@ -357,5 +350,5 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     if not est.converged:
         raise NotConverged(f"the growth-rate enclosure stopped after {est.iterations} "
                            "steps, wider than its tolerance")
-    out = log_of_interval(est.lo, est.hi, p, tol / 4)
+    out = log_of_interval(est.lo, est.hi, system.p, tol / 4)
     return ComplexityInterval(out.lo, out.hi, est)

@@ -31,16 +31,17 @@ by square-and-multiply, each square taking n(n + 1)/2 int squares, as
 2 r_i r_k = (r_i + r_k)^2 - r_i^2 - r_k^2.  ``char_poly`` costs about n^4/4
 small products below n = 12 (Berkowitz) and O(n^3) small-by-big ones from
 there on (a Krylov basis, lifted p-adically), so chi is used only where it
-pays, by one crossover rule (``_chi_pays``), fitted to Berkowitz's cost
-for every n: from the last level wanted e >= n^2/4 + n + 8 on, a sweep
-turns to chi after c_{n+1} and one term is Fiduccia's; below it, one term is
-a matrix sweep's last count.  The finish's terms, to level 2n + 3 at most,
-come from a matrix sweep too, as 2n + 3 < n^2/4 + n + 8 for every n.
-Measured for p = 2 and 5 on ints with Berkowitz's chi, a sweep's matrix/chi
-time ratio crosses 1 at 0.9-1.1 times that e for n = 10 and at 0.4-0.65 for
-n = 30, one term's sweep/Fiduccia ratio at 1.0-1.1 and at 0.5-0.6; on
-Decimals a sweep's crosses at 0.3-0.7 for n = 10..30.  Counts grow to about
-e * log2(rho) bits, rho the spectral radius.
+pays, by one crossover rule (``_chi_pays``): from the last level wanted
+e >= T = n^2/4 + n + 8 on, a sweep turns to chi after c_{n+1} and one term
+is Fiduccia's; below it, one term is a matrix sweep's last count.  The
+finish's terms, to level 2n + 3 at most, come from a matrix sweep too, as
+2n + 3 < T for every n.  The rule was fit with Berkowitz's chi for every n:
+measured for p = 2 and 5 on ints, a sweep's matrix/chi time ratio crossed 1
+at 0.9-1.1 T for n = 10 and at 0.4-0.65 T for n = 30, one term's
+sweep/Fiduccia ratio at 1.0-1.1 T and at 0.5-0.6 T; on Decimals a sweep's
+crossed at 0.3-0.7 T for n = 10..30.  With the Krylov chi it turns to chi
+late for n >= 12; ROADMAP.md, item 11, has the crossovers measured since.
+Counts grow to about e * log2(rho) bits, rho the spectral radius.
 
 The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
 e = 1 on they obey the order-(n + 1) recurrence of (t - 1) chi, and

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .basep import Prime
 
@@ -48,11 +47,6 @@ class QuotientRing:
 
     def one(self) -> "QElem":
         return self.element([1])
-
-    @cached_property
-    def _one(self) -> "QElem":
-        # frobenius twists every entry through the kernel as one * entry^[q]
-        return self.one()
 
     def gen(self) -> "QElem":
         """The class of x (zero when n == 1)."""
@@ -97,7 +91,7 @@ class QElem:
             raise ValueError("twist degree must be >= 0")
         if e == 0:
             return self
-        return _product((self.ring._one,), (self,), _twist(self.ring, e))
+        return _product((self.ring.one(),), (self,), _twist(self.ring, e))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

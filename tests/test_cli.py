@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobcx import spectral
+from frobcx import cli, spectral
 from frobcx.basep import Prime
 from frobcx.cli import (
     AUTO_ENUMERATE_LIMIT, EXACT, ENGINE_TERMS, _CHUNK, _resolve_engine, _sequence_counts,
@@ -23,6 +23,7 @@ from frobcx.cli import (
     render_json,
 )
 from frobcx.enumeration import composition_count, count_basis_carryvectors
+from frobcx.errors import GuardExceeded, NotCertified, NotConverged, Stopped
 from frobcx.transfer import build_system, complexity_term, iter_counts, sweep
 from fractions import Fraction
 
@@ -251,6 +252,22 @@ def test_uncertified_growth_rate_exits_2(capsys, monkeypatch):
         assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
             "not certified: the growth rate is the spectral radius only if "
             "x0 is nonnegative and nonzero\n"))
+
+
+def test_every_stop_exits_2_with_its_label(capsys, monkeypatch):
+    # one clause in main serves every Stopped subclass; a new one needs an
+    # example here.  build_table is patched where mdpoly calls it: the cached
+    # parser holds the command functions themselves
+    stops = {GuardExceeded: ("guard exceeded", GuardExceeded("carry-vector sum", 9, 5)),
+             NotConverged: ("not converged", NotConverged("stopped after 3 steps")),
+             NotCertified: ("not certified", NotCertified("no growth rate"))}
+    assert set(stops) == set(Stopped.__subclasses__())
+    for cls, (label, exc) in stops.items():
+        def stop(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "build_table", stop)
+        assert cls.label == label
+        assert run(capsys, "mdpoly", "--p", "2", "--d", "3") == (2, "", f"{label}: {exc}\n")
 
 
 def test_guard_falls_back_when_the_flag_is_left_out(capsys, monkeypatch):

@@ -680,8 +680,13 @@ def test_complexity_lies_between_its_large_p_limit_and_d_minus_1():
 
 
 def test_frobenius_complexity_rejects_small_d():
-    with pytest.raises(ValueError):
+    # build_system's refusals, p and d checked after the tolerance
+    with pytest.raises(ValueError, match="no transfer system for d <= 2"):
         frobenius_complexity(2, 2, "1e-6")
+    with pytest.raises(ValueError, match="4 is not prime"):
+        frobenius_complexity(4, 3, "1e-6")
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        frobenius_complexity(4, 2, 0)
 
 
 def test_transfer_systems_have_sign_change_certificates():

@@ -1,6 +1,7 @@
 import re
 from decimal import Decimal, localcontext
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,6 +72,52 @@ def test_build_system_entries_by_inclusion_exclusion():
             assert system.matrix == tuple(tuple(row[1:]) for row in full[1:]), (p, d)
             assert system.x0 == tuple(row[0] for row in full[1:]), (p, d)
             assert system.weights == tuple(full[0][1:]), (p, d)
+
+
+def _eulerian(n, m):
+    # A(n, m), the permutations of n with m ascents: A(4, 0) = 1, A(4, 1) = 11
+    return sum((-1) ** k * comb(n + 1, k) * (m + 1 - k) ** n for k in range(m + 1))
+
+
+def _divided_differences(xs, ys):
+    # the Newton form's coefficients of the interpolant; the last is x^(len - 1)'s
+    cs = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
+    return cs
+
+
+def _newton_value(xs, cs, x):
+    value = Fraction(0)
+    for c, xk in zip(reversed(cs), reversed(xs)):
+        value = value * (x - xk) + c
+    return value
+
+
+def test_build_system_entries_are_polynomials_in_p():
+    # for p >= d - 1 each U[i][j] is a polynomial in p of degree d - 1, with
+    # leading coefficient A(d - 1, i) / (d - 1)!, rows from 1, in every
+    # column: the Irwin-Hall density at i + 1.  Those sum over i to
+    # alpha_d = 1 - 1/(d - 1)!, the large-p limit of rho / p^(d - 1).  The
+    # interpolant through d primes is checked at up to three more <= 53
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    checks = 0
+    for d in range(3, 10):
+        n, usable = d - 2, [q for q in primes if q >= d - 1]
+        fit, further = usable[:d], usable[d:d + 3]
+        systems = {q: build_system(q, d).matrix for q in fit + further}
+        for j in range(n):
+            leading = []
+            for i in range(n):
+                cs = _divided_differences(fit, [systems[q][i][j] for q in fit])
+                for q in further:
+                    assert _newton_value(fit, cs, q) == systems[q][i][j], (d, i, j, q)
+                    checks += 1
+                assert cs[-1] == Fraction(_eulerian(d - 1, i + 1), factorial(d - 1)), (d, i, j)
+                leading.append(cs[-1])
+            assert sum(leading) == 1 - Fraction(1, factorial(d - 1)), (d, j)
+    assert checks == 420
 
 
 def test_state_iterates_matrix_powers():
