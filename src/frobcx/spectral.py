@@ -4,20 +4,17 @@ The generator counts grow like rho^e where rho is the spectral radius of
 the transfer matrix.  Nothing here is floating point: every bound is a
 Fraction that provably brackets the target.
 
-* ``perron_interval`` encloses the spectral radius of a nonnegative
-  integer matrix with the classical two-sided ratio bounds: for positive
-  x, min_i (Ux)_i / x_i <= rho(U) <= max_i (Ux)_i / x_i.  Running max/min
-  keep the record monotone, so the interval is valid however x was found
-  (power steps, then shifted inverse iteration) and if the loop stops early.
-  Each strongly connected block of the whole matrix is enclosed alone, and
-  every block has one schedule: power steps while the width exceeds hi / 256,
-  then inverse steps at sigma = hi + min(hi - lo, hi / 256).  The capped
-  offset keeps sigma near hi while the bracket is wide, as on a periodic
-  block, where power steps never narrow; Noda (1971) shifts to hi itself.
-  lo, hi and tol stay integer pairs, as do sigma and the ratios hi / offset
-  and hi / tol that set an inverse step's precision (unreduced); the sign of
-  chi, the whole matrix's, at a / b, b > 0, is that of b^n chi(a / b), n =
-  deg chi, which Horner's rule gives in integers.
+* ``perron_interval`` encloses the spectral radius rho of a nonnegative
+  integer matrix by Newton's method from the right on its exact
+  characteristic polynomial chi, of degree n.  rho is an eigenvalue and
+  every eigenvalue has Re lambda <= rho (Perron-Frobenius), so at real t >
+  rho each term of chi'(t) / chi(t) = sum_i 1 / (t - lambda_i) has real
+  part in (0, 1 / (t - rho)], the term of rho equal to it, and delta =
+  chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho: rho lies in
+  [t - n delta, t - delta].  Each step is certified by itself, so the
+  interval holds rho however the loop stops.  t = a / 2^b stays dyadic, and
+  2^(bn) chi(t) and 2^(b(n - 1)) chi'(t) are integers by Horner's rule, as
+  is the sign of chi at lo - tol and hi + tol, a cross-check.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -58,7 +55,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import NotCertified, NotConverged
-from .transfer import CharPoly, Matrix, _apply, _validate_matrix, build_system, char_poly
+from .transfer import CharPoly, Matrix, _validate_matrix, build_system, char_poly
 
 
 def _as_fraction(value) -> Fraction:  # the one parser of tol, the CLI's too
@@ -96,42 +93,18 @@ class RationalInterval:
 class SpectralEstimate(RationalInterval):
     """Certified enclosure of a spectral radius.
 
-    ``converged`` records whether the requested width was reached within
-    the iteration cap; the interval is valid either way.  ``sign_change``
-    reports whether the characteristic polynomial is negative at lo - tol
-    and positive at hi + tol, a cross-check that succeeds when the radius
-    is a simple isolated real root (None when no cycle runs through the
-    matrix, whose radius is then 0).
+    ``iterations`` counts the Newton steps on chi.  ``converged`` records
+    whether the requested width was reached within their cap; the interval
+    is valid either way.  ``sign_change`` reports whether the characteristic
+    polynomial is negative at lo - tol and positive at hi + tol, a
+    cross-check that succeeds when the radius is a simple isolated real
+    root (None when no cycle runs through the matrix, whose radius is then
+    0).
     """
 
     iterations: int = 0
     converged: bool = True
     sign_change: bool | None = None
-
-
-def _shifted_solve(rows: Matrix, sn: int, sd: int, x: list[int], bits: int) -> list[int] | None:
-    # z ~ (sigma I - U)^-1 x, sigma = sn / sd with sd > 0, by Gaussian
-    # elimination with partial pivoting, in fixed point at scale 2^bits with
-    # sigma rounded up; None on a zero pivot or a nonpositive z
-    n, top = len(rows), max(x).bit_length()
-    s = -((-sn << bits) // sd)
-    a = [[(s if i == j else 0) - (u << bits) for j, u in enumerate(row)]
-         + [(x[i] << bits) >> top] for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        a[k], a[piv] = a[piv], a[k]
-        pivot, tail = a[k][k], a[k][k + 1:]
-        if pivot == 0:
-            return None
-        for row in a[k + 1:]:
-            f = (row[k] << bits) // pivot
-            row[k + 1:] = [v - ((f * t) >> bits) for v, t in zip(row[k + 1:], tail)]
-    z = [0] * n
-    for k in reversed(range(n)):
-        z[k] = ((a[k][n] << bits) - sum(a[k][j] * z[j] for j in range(k + 1, n))) // a[k][k]
-        if z[k] <= 0:
-            return None
-    return z
 
 
 def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
@@ -146,80 +119,63 @@ def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
-    Each strongly connected block with a cycle is enclosed alone: the radius
-    is the largest block's, in [max lo, max hi], and 0 if there is none.  In
-    a block of size n, up to 4n + 16 power steps x -> Ux bring the width to
-    hi / 2^8, then shifted inverse iteration (Wielandt) at sigma = hi +
-    min(hi - lo, hi / 2^8) converges fast.  On a periodic block power steps
-    never narrow, and the cap on the shift's offset keeps sigma within
-    hi / 2^8 of hi.  At the cap of 5n + 32 + b steps, b = bits(ceil(1/tol)),
-    or if a step finds no positive x, the block's best interval so far is
-    taken (not converged).
+    By Newton's method on chi, the exact characteristic polynomial of degree
+    n, from the right.  By Perron-Frobenius rho is an eigenvalue and every
+    eigenvalue has Re lambda <= rho, so at real t > rho, chi(t) > 0 and
+    chi'(t) / chi(t) = sum_i 1 / (t - lambda_i), each term of real part in
+    (0, 1 / (t - rho)] and the term of rho equal to it.  Thus delta =
+    chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho, that is, rho lies
+    in [t - n delta, t - delta].  From t = top, the largest row sum >= rho,
+    each step takes hi = t - delta, rounded up to a dyadic of at most bmax =
+    bits(ceil(1/tol)) + 2 bits(n) + 2 fractional bits, as the next t and lo
+    = max(lo, t - n delta), rounded down, until hi - lo <= tol.  A t with
+    chi(t) = 0 is rho itself, and the result a point; chi = x^n (no cycle)
+    gives [0, 0].  At the cap of n (bmax + bits(top)) + 64 steps the
+    interval so far is taken (not converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
         raise ValueError("matrix entries must be nonnegative")
     tol = _as_fraction(tol)
-    if not (blocks := _blocks(rows)):
+    coeffs = char_poly(rows).coeffs
+    if not any(coeffs[:-1]):  # chi = x^n: no cycle, radius 0
         return SpectralEstimate(0, 0)
-    poly, tn, td = char_poly(rows), tol.numerator, tol.denominator
-    found = [_enclose([[rows[i][j] for j in b] for i in b], tn, td) for b in blocks]
-    lo, hi = max(f[0] for f in found), max(f[1] for f in found)
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    sign_change = (_scaled_value(poly, ln * td - tn * ld, ld * td) < 0
-                   < _scaled_value(poly, hn * td + tn * hd, hd * td))  # at lo - tol, hi + tol
-    return SpectralEstimate(lo, hi, iterations=sum(f[2] for f in found),
-                            converged=(hn * ld - ln * hd) * td <= tn * hd * ld,
+    lo, hi, steps = _newton(coeffs, max(map(sum, rows)), tol.numerator, tol.denominator)
+    sign_change = (_scaled_value(coeffs, *(lo - tol).as_integer_ratio())[0] < 0
+                   < _scaled_value(coeffs, *(hi + tol).as_integer_ratio())[0])
+    return SpectralEstimate(lo, hi, iterations=steps, converged=hi - lo <= tol,
                             sign_change=sign_change)
 
 
-def _enclose(rows: Matrix, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
-    # (lo, hi, steps) for one irreducible block; inside, lo, hi and tol = tn / td are pairs
-    n = len(rows)
-    cap = 5 * n + 32 + (-(-td // tn)).bit_length()  # 4n + 16 power steps, n + 16 + b inverse
-    x = [1] * n
-    ln, ld, hn, hd = 0, 1, max(map(sum, rows)), 1  # hi: the first step's bound, as x is all ones
-    for it in range(1, cap + 1):
-        y = _apply(rows, x)
-        an, ad = bn, bd = y[0], x[0]  # the least and the greatest ratio y_i / x_i, as pairs
-        for yi, xi in zip(y, x):
-            if yi * ad < an * xi:
-                an, ad = yi, xi
-            elif yi * bd > bn * xi:
-                bn, bd = yi, xi
-        if an * ld > ln * ad:
-            ln, ld = an, ad
-        if bn * hd < hn * bd:
-            hn, hd = bn, bd
-        width = hn * ld - ln * hd  # (hi - lo) hd ld
-        if width * td <= tn * hd * ld:
+def _newton(coeffs: tuple[int, ...], top: int, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
+    # (lo, hi, steps) for rho, the largest root of chi = sum coeffs[k] x^k,
+    # chi != x^n, by Newton steps down from t = a / 2^b = top >= rho, with
+    # tol = tn / td.  Each next t keeps e bits, twice those of t / delta plus
+    # 32, up to bmax.  A cycle of length k gives U^k a diagonal entry >= 1,
+    # so rho >= 1, and a step that rounds back to t has t / delta > 2^e, so
+    # e = bmax; its width is then below (n + 1) 2^-bmax < tol, and it converges
+    n = len(coeffs) - 1
+    bmax = (-(-td // tn)).bit_length() + 2 * n.bit_length() + 2
+    a, b, lo = top, 0, Fraction(0)
+    for step in range(1, n * (bmax + top.bit_length()) + 65):
+        v, dv = _scaled_value(coeffs, a, 1 << b)  # delta = v / (dv 2^b)
+        if v == 0:  # t is a root, so t = rho
+            lo = Fraction(a, 1 << b)
             break
-        if it < 4 * n + 16 and width * 256 > hn * ld:
-            shift = max(0, min(y).bit_length() - 32)  # the least entry keeps 32 bits
-            x = [v >> shift for v in y]
-            continue
-        # inverse step at sigma = hi + min(hi - lo, hi / 256) > rho, with the
-        # offset capped so that sigma follows hi on a wide bracket, as on a
-        # periodic block: (sigma I - U)^-1 >= I / sigma, so the exact z is
-        # positive.  bits cover x's range, gap = log2(hi / offset) (9 under
-        # the cap) for the solve and as many again (to tol) for the next
-        # width; a failed solve is retried with twice the bits, at most four times
-        gap = max(9, _floor_log2(hn * ld, width) + 1)
-        bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
-                + min(gap, max(0, _floor_log2(hn * td, hd * tn) + 1)))
-        sn, sd = 256 * hn * ld + min(256 * width, hn * ld), 256 * hd * ld  # sigma, unreduced
-        tries = (_shifted_solve(rows, sn, sd, x, bits << t) for t in range(5))
-        if (x := next(filter(None, tries), None)) is None:
+        e = min(bmax, max(b, 2 * (a * dv // v).bit_length() + 32))  # t / delta = a dv / v
+        lo = max(lo, Fraction(((a * dv - n * v) << e - b) // dv, 1 << e))
+        a, b = -(-((a * dv - v) << e - b) // dv), e
+        if (Fraction(a, 1 << b) - lo) * td <= tn:
             break
-    return Fraction(ln, ld), Fraction(hn, hd), it
+    return lo, Fraction(a, 1 << b), step
 
 
-def _scaled_value(poly: CharPoly, a: int, b: int) -> int:
-    # b^n chi(a / b), n = deg chi, by Horner's rule in integers
-    out, power = 0, 1
-    for c in reversed(poly.coeffs):
-        out, power = out * a + c * power, power * b
-    return out
+def _scaled_value(coeffs: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    # (b^n chi(a / b), b^(n - 1) chi'(a / b)), n = deg chi, by Horner's rule in integers
+    out, slope, power = 0, 0, 1
+    for c in reversed(coeffs):
+        out, slope, power = out * a + c * power, slope * a + out, power * b
+    return out, slope
 
 
 def _floor_log2(num: int, den: int) -> int:

@@ -54,10 +54,10 @@ The sweep runs on ints for library callers and on exact decimals for the
 CLI: CPython's int-to-str conversion takes time quadratic in the digit
 count, while a Decimal, stored in base-10^19 limbs, prints in linear time
 and to the same string.  ``char_poly`` lives here, next to the recurrence
-that needs it; ``spectral`` re-exports it, and its power steps use the same
-product ``_apply``.  The package does not export the four names at the
-end, ``state`` (binary powering of U), ``_mul``, ``complexity_sequence``
-and ``ComplexityReport``: no count path calls them, but the benchmark does.
+that needs it; ``spectral`` re-exports it.  The package does not export
+the four names at the end, ``state`` (binary powering of U), ``_mul``,
+``complexity_sequence`` and ``ComplexityReport``: no count path calls
+them, but the benchmark does.
 """
 
 from __future__ import annotations

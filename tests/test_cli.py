@@ -234,12 +234,13 @@ def test_guard_env_var(capsys, monkeypatch):
 
 
 def test_unconverged_enclosure_exits_2(capsys, monkeypatch):
-    # with every solve failing, the (2, 6) radius enclosure stops at its
-    # first inverse step, wider than tol: refused on stderr, nothing printed
-    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
+    # with the Newton loop stopped at width 1, the (2, 6) radius enclosure
+    # is wider than tol: refused on stderr, nothing printed
+    newton = spectral._newton
+    monkeypatch.setattr(spectral, "_newton", lambda coeffs, top, tn, td: newton(coeffs, top, 1, 1))
     for command in ("complexity", "segre"):
         assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
-            "not converged: the growth-rate enclosure stopped after 10 steps, "
+            "not converged: the growth-rate enclosure stopped after 6 steps, "
             "wider than its tolerance\n"))
 
 

@@ -4,9 +4,10 @@
 captured from the code before the CLI was rewired onto the library's
 sequence, complexity and engine code.  The changed ``complexity`` and
 ``segre`` records were captured again when the radius enclosure moved to
-shifted inverse iteration, which prints other endpoints and iteration
-counts; a second test checks every printed interval against mpmath.  The
-``carry`` records at d <= 2 and the listings of ``verify`` were captured
+shifted inverse iteration, and again when it moved to Newton's method on
+the characteristic polynomial, each of which prints other endpoints and
+iteration counts; a second test checks every printed interval against
+mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
 again when the carry and closed engines began to count the first level
 themselves; a third test checks those carry records against ``enumerate``.
 Every record must still match byte for byte.  Run ``python
@@ -18,8 +19,8 @@ small cells, each cell in one of the three formats in turn, leaving out
 cells that would enumerate more than 10^5 compositions (about 0.1 s each);
 ``complexity`` and ``segre`` in both formats at four tolerances, and
 ``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8 and at 1e-15 for
-d = 24, narrow enough for the radius enclosure's shifted inverse steps
-(12-18 iterations); ``verify`` in full, with an injected fault and with a
+d = 24, narrow enough for the radius enclosure's most Newton steps (12-25
+iterations); ``verify`` in full, with an injected fault and with a
 tripping guard (a passing ``verify --quiet`` prints the last line of
 ``verify``; ``test_cli.py`` checks it byte for byte); ``twisted demo``;
 refused inputs (exit 1) and guard trips (exit 2).
@@ -78,7 +79,7 @@ def grid():
                                   "--format", fmt], {}))
     for p, d, tols in ((2, 6, ("1e-100", "1e-300")), (3, 8, ("1e-100", "1e-300")),
                        (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15",))):
-        for tol in tols:  # narrow enough for the shifted inverse steps
+        for tol in tols:  # narrow enough for the most Newton steps
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
     cmds += [

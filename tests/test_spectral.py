@@ -46,25 +46,28 @@ def test_char_poly_rejects_nonsquare():
 
 
 def test_perron_exact_on_dimension_one():
-    est = perron_interval([[7]], Fraction(1, 10**9))
-    assert (est.lo, est.hi) == (7, 7)
-    assert est.converged and est.sign_change
+    # chi = x - u vanishes at the row sum u: the radius itself, in one step;
+    # every d = 3 transfer matrix is 1 x 1
+    for matrix in [[[7]], [[10**6]]] + [build_system(p, 3).matrix for p in (2, 3, 5, 7, 101)]:
+        est = perron_interval(matrix, Fraction(1, 10**9))
+        assert (est.lo, est.hi, est.iterations) == (matrix[0][0], matrix[0][0], 1)
+        assert est.converged and est.sign_change
 
 
 def test_perron_zero_and_trimmed_matrices():
     est = perron_interval([[0, 0], [0, 0]], "1e-6")
-    assert (est.lo, est.hi) == (0, 0)
-    assert est.sign_change is None
-    # nilpotent: strictly upper triangular, no cycle and radius 0
+    assert (est.lo, est.hi, est.sign_change) == (0, 0, None)
+    # nilpotent: strictly upper triangular, no cycle, chi = x^2 and radius 0
     est = perron_interval([[0, 5], [0, 0]], "1e-6")
-    assert (est.lo, est.hi) == (0, 0)
+    assert (est.lo, est.hi, est.sign_change) == (0, 0, None)
     # a zero row/column beside a diagonal block, which must not be lost
     est = perron_interval([[3, 0], [9, 0]], "1e-6")
-    assert (est.lo, est.hi) == (3, 3)
+    assert 3 in est and est.width <= Fraction(1, 10**6) and est.converged
     # the sign is chi's of the whole matrix, x (x - 1), which is positive at
-    # lo - tol = -9: no sign change, where chi of [1] alone, x - 1, gives one
+    # lo - tol <= -9: no sign change, where chi of [1] alone, x - 1, gives one
     est = perron_interval([[1, 1], [0, 0]], 10)
-    assert (est.lo, est.hi, est.sign_change) == (1, 1, False)
+    assert 1 in est and est.width <= 10 and est.converged
+    assert est.sign_change is False
 
 
 def test_perron_rejects_bad_input():
@@ -86,39 +89,59 @@ def test_perron_contains_golden_ratio_style_root():
     assert est.width <= Fraction(1, 10**12)
 
 
+newton = spectral._newton
+
+
+def stopped_at_width_one(coeffs, top, tn, td):
+    # the Newton loop stopped as soon as its width is at most 1
+    return newton(coeffs, top, 1, 1)
+
+
 def test_perron_unconverged_interval_is_still_valid(monkeypatch):
-    # power steps never narrow this periodic matrix from its ratios 1 and 2,
-    # so its 4n + 16 = 24th step is its first inverse step; with every solve
-    # failing, the loop stops there, and the interval it returns still holds
-    # the radius sqrt(2)
-    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
+    # a loop that stops early, here at width 1, is not converged at tol
+    # 1e-12, and the interval it returns still holds the radius sqrt(2)
+    monkeypatch.setattr(spectral, "_newton", stopped_at_width_one)
     est = perron_interval([[0, 2], [1, 0]], Fraction(1, 10**12))
-    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 24, False)
+    assert not est.converged and 0 < est.width <= 1
+    assert est.lo**2 <= 2 <= est.hi**2
 
 
 def test_perron_converges_on_a_reducible_matrix():
-    # the Perron vector (1, 0) has a zero entry, so on the whole matrix every
-    # positive x keeps the ratio 1 in its second entry and the lower bound at
-    # 1; the blocks [2] and [1] are enclosed apart, one step each
+    # the Perron vector (1, 0) has a zero entry, where the ratio bounds of a
+    # positive vector stall at 1; chi = (x - 2)(x - 1) has no such case
     est = perron_interval([[2, 1], [0, 1]], "1e-9")
-    assert (est.lo, est.hi, est.iterations, est.converged) == (2, 2, 2, True)
+    assert 2 in est and est.width <= Fraction(1, 10**9) and est.converged
     assert est.sign_change
 
 
 def test_perron_converges_at_a_width_equal_to_tol():
-    # the first step's ratios are the row sums 2 and 1: a width of exactly
-    # tol = 1, which converges (the loop's test and the result's agree)
+    # the golden ratio from the row sum 2 at tol 1: the loop's width test
+    # and the result's agree
     est = perron_interval([[1, 1], [1, 0]], 1)
-    assert (est.lo, est.hi, est.iterations, est.converged) == (1, 2, 1, True)
+    assert est.converged and est.width <= 1
+    assert est.lo**2 - est.lo <= 1 <= est.hi**2 - est.hi
 
 
 def test_perron_converges_on_a_periodic_matrix():
-    # power steps alternate between two vectors here and never tighten;
-    # the shifted inverse steps after them, at sigma = hi + hi / 256 while
-    # the bracket is wide, converge to sqrt(2)
+    # the eigenvalues are sqrt(2) and -sqrt(2), as far from the radius as
+    # the period allows; Newton's steps from the row sum 2 converge to sqrt(2)
     est = perron_interval([[0, 2], [1, 0]], "1e-6")
     assert est.converged and est.width <= Fraction(1, 10**6)
     assert est.lo**2 <= 2 <= est.hi**2
+    # chi = x^2 - 4462 * 9407: quadratic convergence from the row sum 9407,
+    # where the ratio bounds of power steps never narrow
+    est = perron_interval([[0, 4462], [9407, 0]], 10)
+    assert est.converged and est.iterations <= 6
+    assert est.lo**2 <= 4462 * 9407 <= est.hi**2
+
+
+def test_perron_converges_on_a_double_root():
+    # diag(B, B) has chi = (x^2 - 10 x + 20)^2: 5 + sqrt(5) is a double root,
+    # where Newton's steps converge linearly
+    tol = Fraction(1, 10**40)
+    est = perron_interval([[6, 4, 0, 0], [1, 4, 0, 0], [0, 0, 6, 4], [0, 0, 1, 4]], tol)
+    assert est.converged and est.width <= tol
+    assert est.lo > 5 and (est.lo - 5) ** 2 <= 5 <= (est.hi - 5) ** 2
 
 
 def square_matrices(entries, max_n=6):
@@ -167,6 +190,26 @@ def test_perron_contains_reference_radius(matrix):
 
 @settings(max_examples=80, deadline=None)
 @given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4)),
+       st.fractions(min_value=Fraction(1, 10**6), max_value=100, max_denominator=10**6))
+@example([[0, 2], [1, 0]], Fraction(1, 10**6))  # periodic: -rho is a root too
+@example([[2, 1, 0], [0, 2, 1], [0, 0, 2]], Fraction(1, 10**6))  # a triple root at the radius
+@example([[6, 4, 0, 0], [1, 4, 0, 0], [0, 0, 6, 4], [0, 0, 1, 4]], Fraction(1))  # double root
+def test_newton_step_brackets_the_radius(matrix, above):
+    # perron_interval's certificate: at rational t above the largest row
+    # sum, so above the radius, delta = chi(t) / chi'(t) has rho in
+    # [t - n delta, t - delta]
+    n, t = len(matrix), max(map(sum, matrix)) + above
+    poly = char_poly(matrix)
+    delta = horner(poly, t) / sum(k * c * t ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
+    radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as below
+    lo, hi = t - n * delta, t - delta
+    assert 0 < delta <= t
+    assert mpmath.mpf(lo.numerator) / lo.denominator <= radius + slack
+    assert mpmath.mpf(hi.numerator) / hi.denominator >= radius - slack
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4)),
        st.sampled_from([Fraction(10), Fraction(1, 7), Fraction("1e-3"), Fraction("1e-6"),
                         Fraction("1e-9")]))
 @example([[2, 1], [0, 1]], Fraction("1e-6"))
@@ -174,19 +217,15 @@ def test_perron_contains_reference_radius(matrix):
 @example([[0, 4, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]], Fraction("1e-9"))  # periodic
 @example([[0, 4462], [9407, 0]], Fraction(10))  # periodic: power steps never narrow it
 @example([[0, 267], [17, 1]], Fraction(10))  # nearly periodic: power steps barely narrow it
-# weakly coupled: an uncapped shift hi + (hi - lo) stays far above the radius
-# here, and these stop at the cap, at [5.32, 25.37] and [6749.7, 7307.0]
+# weakly coupled: shifted inverse steps at hi + (hi - lo) stopped at their cap
+# here, at [5.32, 25.37] and [6749.7, 7307.0]
 @example([[0, 0, 1, 0, 2], [3, 0, 5250, 3, 3215], [0, 0, 0, 1, 0], [3, 3, 3, 0, 0],
           [1, 0, 0, 0, 0]], Fraction(1, 7))
 @example([[0, 3, 0, 2, 0, 0], [2, 4204, 3, 0, 0, 8689], [1, 0, 2, 1, 1, 1], [0, 2, 3, 7307, 2, 0],
           [0, 1, 0, 0, 1, 3], [0, 1, 0, 0, 8617, 6376]], Fraction(10))
 def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
-    # each block is enclosed alone, so a reducible matrix converges too, also
-    # when its Perron vector has zero entries; every inverse step shifts to
-    # at most hi + hi / 256, so a periodic or nearly periodic block, where
-    # power steps never or barely narrow, converges too, and inverse steps
-    # have an allowance of their own after the power steps, so coarse tols
-    # converge too
+    # reducible, periodic and nearly periodic matrices, and coarse tols;
+    # the examples stopped short of tol in earlier enclosure loops
     est = perron_interval(matrix, tol)
     assert est.converged and est.width <= tol
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as above
@@ -220,70 +259,6 @@ def test_blocks_are_the_strongly_connected_components(matrix):
     assert spectral._blocks(matrix) == reference_blocks(matrix)
 
 
-def fraction_block_interval(rows, tol):
-    # perron_interval's loop on one block as it was with one Fraction per
-    # ratio: the reference for its integer-pair loop
-    n = len(rows)
-    cap = 5 * n + 32 + (-((-tol.denominator) // tol.numerator)).bit_length()
-    x = [1] * n
-    lo, hi = Fraction(0), Fraction(max(map(sum, rows)))
-    it = 0
-    while it < cap:
-        y = spectral._apply(rows, x)
-        ratios = [Fraction(yi, xi) for yi, xi in zip(y, x)]
-        lo = max(lo, min(ratios))
-        hi = min(hi, max(ratios))
-        it += 1
-        if hi - lo <= tol:
-            break
-        if it < 4 * n + 16 and (hi - lo) * 256 > hi:
-            shift = max(0, min(y).bit_length() - 32)
-            x = [v >> shift for v in y]
-            continue
-        # reduced pairs, where perron_interval passes unreduced ones
-        offset = min(hi - lo, hi / 256)
-        gap = spectral._floor_log2(*(hi / offset).as_integer_ratio()) + 1
-        bits = (max(x).bit_length() - min(x).bit_length() + 64 + gap
-                + min(gap, max(0, spectral._floor_log2(*(hi / tol).as_integer_ratio()) + 1)))
-        sigma = (hi + offset).as_integer_ratio()
-        tries = (spectral._shifted_solve(rows, *sigma, x, bits << t) for t in range(5))
-        if (x := next(filter(None, tries), None)) is None:
-            break
-    return lo, hi, it
-
-
-def fraction_perron_interval(matrix, tol):
-    # the reference for perron_interval: the Fraction loop on each block of
-    # reference_blocks, the largest ends of their intervals, and the sign
-    # check of the whole matrix's polynomial
-    rows = spectral._validate_matrix(matrix)
-    if not (blocks := reference_blocks(rows)):
-        return spectral.SpectralEstimate(0, 0)
-    found = [fraction_block_interval([[rows[i][j] for j in b] for i in b], tol)
-             for b in blocks]
-    lo, hi = max(f[0] for f in found), max(f[1] for f in found)
-    poly = char_poly(rows)
-    sign_change = horner(poly, lo - tol) < 0 < horner(poly, hi + tol)
-    return spectral.SpectralEstimate(lo, hi, iterations=sum(f[2] for f in found),
-                                     converged=hi - lo <= tol, sign_change=sign_change)
-
-
-@settings(max_examples=150, deadline=None)
-@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
-       st.sampled_from([Fraction("1e-3"), Fraction("1e-9"), Fraction(1, 7), Fraction(10),
-                        Fraction("1e-40"), Fraction("1e-100"), Fraction("1e-300")]))
-@example([[0, 2], [1, 0]], Fraction("1e-40"))  # periodic
-@example([[2, 1, 0], [0, 3, 0], [0, 5, 1]], Fraction("1e-9"))  # reducible
-@example([[0, 1], [0, 0]], Fraction(1, 7))  # no cycle
-@example([[1, 1], [0, 0]], Fraction(10))  # chi = x (x - 1) > 0 at lo - tol = -9
-@example([[10**4] * 8] * 8, Fraction("1e-40"))
-@example(build_system(3, 8).matrix, Fraction("1e-300"))  # the CLI's narrowest
-def test_perron_matches_the_fraction_ratio_scan(matrix, tol):
-    est, ref = perron_interval(matrix, tol), fraction_perron_interval(matrix, tol)
-    assert (est.lo, est.hi, est.iterations, est.converged, est.sign_change) == (
-        ref.lo, ref.hi, ref.iterations, ref.converged, ref.sign_change)
-
-
 def sized_integers(max_bits):
     return st.integers(0, max_bits).flatmap(lambda k: st.integers(-(2**k), 2**k))
 
@@ -296,11 +271,16 @@ def sized_integers(max_bits):
 @example([0, 0, 0], 0, 1)
 @example([], -(2**1000) + 1, 2**1000 - 1)
 def test_scaled_value_has_the_sign_of_the_fraction_value(low, a, b):
-    # perron_interval's sign check, against Horner's rule on the Fraction
+    # perron_interval's sign check and Newton step, against Horner's rule
+    # on the Fraction
     poly = CharPoly((*low, 1))
-    value, scaled = horner(poly, Fraction(a, b)), spectral._scaled_value(poly, a, b)
+    x = Fraction(a, b)
+    value = horner(poly, x)
+    slope = sum(k * c * x ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
+    scaled, scaled_slope = spectral._scaled_value(poly.coeffs, a, b)
     assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0)
     assert scaled == value * b**poly.degree
+    assert scaled_slope * b == slope * b**poly.degree
 
 
 def positive_integers(max_bits):
@@ -322,19 +302,6 @@ def test_floor_log2_sees_only_the_value(num, den, g):
     assert den << max(k, 0) <= num << max(-k, 0)
     assert num << max(-k - 1, 0) < den << max(k + 1, 0)
     assert spectral._floor_log2(g * num, g * den) == k
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(3, 8), st.data(),
-       positive_integers(64), positive_integers(200), st.integers(1, 300))
-def test_shifted_solve_sees_only_the_value_of_sigma(p, d, data, q, g, bits):
-    # sigma = hi + 1 / q, above the radius; the solve rounds sigma at 2^bits,
-    # so (g sn, g sd) gives the same z, or the same None
-    rows = build_system(p, d).matrix
-    x = data.draw(st.lists(positive_integers(64), min_size=len(rows), max_size=len(rows)))
-    sn, sd = (perron_interval(rows, "1e-9").hi + Fraction(1, q)).as_integer_ratio()
-    z = spectral._shifted_solve(rows, sn, sd, x, bits)
-    assert spectral._shifted_solve(rows, g * sn, g * sd, x, bits) == z
 
 
 @settings(max_examples=100, deadline=None)
@@ -604,8 +571,8 @@ def test_frobenius_complexity_meets_its_width(tol):
 
 def test_frobenius_complexity_refuses_an_unconverged_enclosure(monkeypatch):
     # the enclosure is valid but wider than tol, so no interval is returned
-    monkeypatch.setattr(spectral, "_shifted_solve", lambda *args: None)
-    with pytest.raises(NotConverged, match="stopped after 10 steps"):
+    monkeypatch.setattr(spectral, "_newton", stopped_at_width_one)
+    with pytest.raises(NotConverged, match="stopped after 6 steps"):
         frobenius_complexity(2, 6, "1e-9")
 
 
@@ -638,8 +605,7 @@ def test_growth_rate_is_the_spectral_radius():
     # diagonal is primitive, so U^k / rho^k tends to v u^T with positive
     # Perron vectors v and u, u . v = 1; nonnegative, nonzero w and x0 give
     # c_e ~ (w . v)(u . x0) rho^(e-2), both factors positive, and so
-    # c_e^(1/e) -> rho.  One block holds every index, so perron_interval
-    # encloses the radius of this same U in one piece.
+    # c_e^(1/e) -> rho.
     assert spectral._blocks(((1, 1), (0, 1))) == {(0,), (1,)}
     for p in (2, 3, 5, 7, 11):
         for d in range(3, 30):
