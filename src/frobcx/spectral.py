@@ -12,9 +12,12 @@ Fraction that provably brackets the target.
   part in (0, 1 / (t - rho)], the term of rho equal to it, and delta =
   chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho: rho lies in
   [t - n delta, t - delta].  Each step is certified by itself, so the
-  interval holds rho however the loop stops.  t = a / 2^b stays dyadic, and
-  2^(bn) chi(t) and 2^(b(n - 1)) chi'(t) are integers by Horner's rule, as
-  is the sign of chi at lo - tol and hi + tol, a cross-check.
+  interval holds rho however the loop stops.  The first t is the smaller of
+  the largest row sum and the largest column sum, each >= rho as rho(U) =
+  rho(U^T); on a transfer matrix the column sums are at most p^(d-1), which
+  lies above rho by a relative amount of about 1/(d-1)!.  t = a / 2^b stays
+  dyadic, lo is kept at the same exponent b, and 2^(bn) chi(t) and
+  2^(b(n - 1)) chi'(t) are integers by Horner's rule.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -95,16 +98,11 @@ class SpectralEstimate(RationalInterval):
 
     ``iterations`` counts the Newton steps on chi.  ``converged`` records
     whether the requested width was reached within their cap; the interval
-    is valid either way.  ``sign_change`` reports whether the characteristic
-    polynomial is negative at lo - tol and positive at hi + tol, a
-    cross-check that succeeds when the radius is a simple isolated real
-    root (None when no cycle runs through the matrix, whose radius is then
-    0).
+    is valid either way.
     """
 
     iterations: int = 0
     converged: bool = True
-    sign_change: bool | None = None
 
 
 def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
@@ -125,7 +123,8 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
     chi'(t) / chi(t) = sum_i 1 / (t - lambda_i), each term of real part in
     (0, 1 / (t - rho)] and the term of rho equal to it.  Thus delta =
     chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho, that is, rho lies
-    in [t - n delta, t - delta].  From t = top, the largest row sum >= rho,
+    in [t - n delta, t - delta].  From t = top, the smaller of the largest
+    row sum and the largest column sum, both >= rho as rho(U) = rho(U^T),
     each step takes hi = t - delta, rounded up to a dyadic of at most bmax =
     bits(ceil(1/tol)) + 2 bits(n) + 2 fractional bits, as the next t and lo
     = max(lo, t - n delta), rounded down, until hi - lo <= tol.  A t with
@@ -140,34 +139,34 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
     coeffs = char_poly(rows).coeffs
     if not any(coeffs[:-1]):  # chi = x^n: no cycle, radius 0
         return SpectralEstimate(0, 0)
-    lo, hi, steps = _newton(coeffs, max(map(sum, rows)), tol.numerator, tol.denominator)
-    sign_change = (_scaled_value(coeffs, *(lo - tol).as_integer_ratio())[0] < 0
-                   < _scaled_value(coeffs, *(hi + tol).as_integer_ratio())[0])
-    return SpectralEstimate(lo, hi, iterations=steps, converged=hi - lo <= tol,
-                            sign_change=sign_change)
+    top = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
+    lo, hi, steps = _newton(coeffs, top, tol.numerator, tol.denominator)
+    return SpectralEstimate(lo, hi, iterations=steps, converged=hi - lo <= tol)
 
 
 def _newton(coeffs: tuple[int, ...], top: int, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
     # (lo, hi, steps) for rho, the largest root of chi = sum coeffs[k] x^k,
     # chi != x^n, by Newton steps down from t = a / 2^b = top >= rho, with
-    # tol = tn / td.  Each next t keeps e bits, twice those of t / delta plus
-    # 32, up to bmax.  A cycle of length k gives U^k a diagonal entry >= 1,
-    # so rho >= 1, and a step that rounds back to t has t / delta > 2^e, so
-    # e = bmax; its width is then below (n + 1) 2^-bmax < tol, and it converges
+    # tol = tn / td.  lo / 2^b is kept as its integer numerator lo, shifted
+    # left as b grows, and the Fractions are built on return.  Each next t
+    # keeps e bits, twice those of t / delta plus 32, up to bmax.  A cycle of
+    # length k gives U^k a diagonal entry >= 1, so rho >= 1, and a step that
+    # rounds back to t has t / delta > 2^e, so e = bmax; its width is then
+    # below (n + 1) 2^-bmax < tol, and it converges
     n = len(coeffs) - 1
     bmax = (-(-td // tn)).bit_length() + 2 * n.bit_length() + 2
-    a, b, lo = top, 0, Fraction(0)
+    a, b, lo = top, 0, 0
     for step in range(1, n * (bmax + top.bit_length()) + 65):
         v, dv = _scaled_value(coeffs, a, 1 << b)  # delta = v / (dv 2^b)
         if v == 0:  # t is a root, so t = rho
-            lo = Fraction(a, 1 << b)
+            lo = a
             break
         e = min(bmax, max(b, 2 * (a * dv // v).bit_length() + 32))  # t / delta = a dv / v
-        lo = max(lo, Fraction(((a * dv - n * v) << e - b) // dv, 1 << e))
+        lo = max(lo << e - b, ((a * dv - n * v) << e - b) // dv)
         a, b = -(-((a * dv - v) << e - b) // dv), e
-        if (Fraction(a, 1 << b) - lo) * td <= tn:
+        if (a - lo) * td <= tn << b:
             break
-    return lo, Fraction(a, 1 << b), step
+    return Fraction(lo, 1 << b), Fraction(a, 1 << b), step
 
 
 def _scaled_value(coeffs: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
@@ -282,7 +281,9 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     Converged, [lo, hi] has hi >= m and hi - lo <= delta <= m / 4, so lo >=
     3m / 4 and ln(hi / lo) <= delta / lo <= min(tol, 1) / 3; as ln p > 2/3,
     log_p(hi / lo) <= min(tol, 1) / 2, and each logarithm adds <= tol / 4.
-    An enclosure that stops short of delta raises ``NotConverged``.
+    An enclosure that stops short of delta raises ``NotConverged``.  The
+    upper end is at most d - 1: rho is at most U's largest column sum, and
+    column j sums to p^(d-1) - M_d(p - 1 - j) <= p^(d-1).
 
     rho is the counts' growth rate when U is primitive and x0 and w are
     nonnegative and nonzero: then w U^e x0 ~ rho^e (w v)(u x0) for Perron
@@ -307,4 +308,4 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
         raise NotConverged(f"the growth-rate enclosure stopped after {est.iterations} "
                            "steps, wider than its tolerance")
     out = log_of_interval(est.lo, est.hi, system.p, tol / 4)
-    return ComplexityInterval(out.lo, out.hi, est)
+    return ComplexityInterval(out.lo, min(out.hi, d - 1), est)

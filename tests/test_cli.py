@@ -240,7 +240,7 @@ def test_unconverged_enclosure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(spectral, "_newton", lambda coeffs, top, tn, td: newton(coeffs, top, 1, 1))
     for command in ("complexity", "segre"):
         assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
-            "not converged: the growth-rate enclosure stopped after 6 steps, "
+            "not converged: the growth-rate enclosure stopped after 1 steps, "
             "wider than its tolerance\n"))
 
 

@@ -4,10 +4,11 @@
 captured from the code before the CLI was rewired onto the library's
 sequence, complexity and engine code.  The changed ``complexity`` and
 ``segre`` records were captured again when the radius enclosure moved to
-shifted inverse iteration, and again when it moved to Newton's method on
-the characteristic polynomial, each of which prints other endpoints and
-iteration counts; a second test checks every printed interval against
-mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
+shifted inverse iteration, again when it moved to Newton's method on
+the characteristic polynomial, and again when Newton's method began at the
+smaller of the largest row and column sums, each of which prints other
+endpoints and iteration counts; a second test checks every printed interval
+against mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
 again when the carry and closed engines began to count the first level
 themselves; a third test checks those carry records against ``enumerate``.
 Every record must still match byte for byte.  Run ``python
@@ -19,11 +20,13 @@ small cells, each cell in one of the three formats in turn, leaving out
 cells that would enumerate more than 10^5 compositions (about 0.1 s each);
 ``complexity`` and ``segre`` in both formats at four tolerances, and
 ``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8 and at 1e-15 for
-d = 24, narrow enough for the radius enclosure's most Newton steps (12-25
-iterations); ``verify`` in full, with an injected fault and with a
-tripping guard (a passing ``verify --quiet`` prints the last line of
-``verify``; ``test_cli.py`` checks it byte for byte); ``twisted demo``;
-refused inputs (exit 1) and guard trips (exit 2).
+d = 24, narrow enough for the radius enclosure's most Newton steps (2-9
+iterations), and at 1e-9 for d = 30 and 40, where one step from the column
+sums meets tol and the complexity's upper end is capped at d - 1;
+``verify`` in full, with an injected fault and with a tripping guard (a
+passing ``verify --quiet`` prints the last line of ``verify``;
+``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
+(exit 1) and guard trips (exit 2).
 """
 
 import contextlib
@@ -34,6 +37,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import mpmath
@@ -78,8 +82,9 @@ def grid():
                     cmds.append(([command, "--p", p, "--d", d, "--tol", tol,
                                   "--format", fmt], {}))
     for p, d, tols in ((2, 6, ("1e-100", "1e-300")), (3, 8, ("1e-100", "1e-300")),
-                       (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15",))):
-        for tol in tols:  # narrow enough for the most Newton steps
+                       (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15",)),
+                       (2, 30, ("1e-9",)), (2, 40, ("1e-9",))):
+        for tol in tols:  # narrow enough for the most Newton steps, or wide matrices
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
     cmds += [
@@ -217,7 +222,10 @@ def _printed_intervals(fmt, out):
 def test_printed_intervals_contain_the_radius_and_meet_their_width():
     # every complexity and segre record: each printed interval holds rho, or
     # log_p(rho), computed by mpmath's eigenvalues at twice the printed
-    # digits, and is no wider than tol plus the outward rounding to them
+    # digits, or at the digits of (d - 1)! where those are more, and is no
+    # wider than tol plus the outward rounding to them.  rho lies below
+    # p^(d-1) by a relative amount of about 1/(d - 1)!, and a printed upper
+    # end may be p^(d-1) itself, as at (2, 40), where 32 digits put rho above it
     checked = 0
     for r in json.loads(DATA.read_text()):
         if r["argv"][0] not in ("complexity", "segre") or r["code"] != 0:
@@ -225,7 +233,7 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
         args = dict(zip(r["argv"][1::2], r["argv"][2::2]))
         p, d, tol = int(args["--p"]), int(args["--d"]), Fraction(args["--tol"])
         places = decimal_places(tol)
-        with mpmath.workdps(2 * places + 10):
+        with mpmath.workdps(max(2 * places, len(str(factorial(d - 1)))) + 10):
             matrix = mpmath.matrix([list(row) for row in build_system(p, d).matrix])
             eigenvalues = mpmath.eig(matrix, left=False, right=False)
             if d == 3:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
@@ -238,8 +246,8 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
                 assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
                 checked += 1
     # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in
-    # json; then 7 narrow complexity tables of 2 intervals each
-    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 7 * 2
+    # json; then 9 narrow or wide complexity tables of 2 intervals each
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 9 * 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ from math import factorial
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frobcx import spectral
+from frobcx.cli import _VERIFY_GRID
 from frobcx.errors import NotCertified, NotConverged
 from frobcx.spectral import (
     RationalInterval,
@@ -23,11 +24,22 @@ mpmath.mp.dps = 50
 
 def horner(poly, x):
     # the polynomial's value at x by Horner's rule: the reference for
-    # spectral._scaled_value and perron_interval's sign check
+    # spectral._scaled_value and sign_change below
     out = 0
     for c in reversed(poly.coeffs):
         out = out * x + c
     return out
+
+
+def sign_change(matrix, est, tol):
+    # whether chi is negative at lo - tol and positive at hi + tol, a
+    # cross-check of an enclosure that succeeds when the radius is a simple
+    # isolated real root; None when no cycle runs through the matrix, whose
+    # radius is then 0
+    poly = char_poly(matrix)
+    if not any(poly.coeffs[:-1]):
+        return None
+    return horner(poly, est.lo - tol) < 0 < horner(poly, est.hi + tol)
 
 
 def test_char_poly_frozen_examples():
@@ -51,15 +63,16 @@ def test_perron_exact_on_dimension_one():
     for matrix in [[[7]], [[10**6]]] + [build_system(p, 3).matrix for p in (2, 3, 5, 7, 101)]:
         est = perron_interval(matrix, Fraction(1, 10**9))
         assert (est.lo, est.hi, est.iterations) == (matrix[0][0], matrix[0][0], 1)
-        assert est.converged and est.sign_change
+        assert est.converged and sign_change(matrix, est, Fraction(1, 10**9))
 
 
 def test_perron_zero_and_trimmed_matrices():
-    est = perron_interval([[0, 0], [0, 0]], "1e-6")
-    assert (est.lo, est.hi, est.sign_change) == (0, 0, None)
+    tol = Fraction("1e-6")
+    est = perron_interval([[0, 0], [0, 0]], tol)
+    assert (est.lo, est.hi, sign_change([[0, 0], [0, 0]], est, tol)) == (0, 0, None)
     # nilpotent: strictly upper triangular, no cycle, chi = x^2 and radius 0
-    est = perron_interval([[0, 5], [0, 0]], "1e-6")
-    assert (est.lo, est.hi, est.sign_change) == (0, 0, None)
+    est = perron_interval([[0, 5], [0, 0]], tol)
+    assert (est.lo, est.hi, sign_change([[0, 5], [0, 0]], est, tol)) == (0, 0, None)
     # a zero row/column beside a diagonal block, which must not be lost
     est = perron_interval([[3, 0], [9, 0]], "1e-6")
     assert 3 in est and est.width <= Fraction(1, 10**6) and est.converged
@@ -67,7 +80,7 @@ def test_perron_zero_and_trimmed_matrices():
     # lo - tol <= -9: no sign change, where chi of [1] alone, x - 1, gives one
     est = perron_interval([[1, 1], [0, 0]], 10)
     assert 1 in est and est.width <= 10 and est.converged
-    assert est.sign_change is False
+    assert sign_change([[1, 1], [0, 0]], est, 10) is False
 
 
 def test_perron_rejects_bad_input():
@@ -83,7 +96,7 @@ def test_perron_contains_golden_ratio_style_root():
     # [[6,4],[1,4]] has spectral radius 5 + sqrt(5); compare exactly:
     # lo <= 5+sqrt(5) <= hi  <=>  (lo-5)^2 <= 5 <= (hi-5)^2 for endpoints > 5
     est = perron_interval([[6, 4], [1, 4]], Fraction(1, 10**12))
-    assert est.converged and est.sign_change
+    assert est.converged and sign_change([[6, 4], [1, 4]], est, Fraction(1, 10**12))
     assert est.lo > 5 and (est.lo - 5) ** 2 <= 5
     assert est.hi > 5 and (est.hi - 5) ** 2 >= 5
     assert est.width <= Fraction(1, 10**12)
@@ -111,7 +124,7 @@ def test_perron_converges_on_a_reducible_matrix():
     # positive vector stall at 1; chi = (x - 2)(x - 1) has no such case
     est = perron_interval([[2, 1], [0, 1]], "1e-9")
     assert 2 in est and est.width <= Fraction(1, 10**9) and est.converged
-    assert est.sign_change
+    assert sign_change([[2, 1], [0, 1]], est, Fraction(1, 10**9))
 
 
 def test_perron_converges_at_a_width_equal_to_tol():
@@ -166,6 +179,11 @@ def reference_eigenvalues(matrix):
         return mpmath.eig(mpmath.matrix(matrix), left=False, right=False)
 
 
+def start(matrix):
+    # perron_interval's first t: the smaller of the largest row and column sums
+    return min(max(map(sum, matrix)), max(map(sum, zip(*matrix))))
+
+
 def reference_radius(matrix):
     eigenvalues = reference_eigenvalues(matrix)
     if len(matrix) == 1:  # mpmath returns (E, EL, ER) for 1x1, whatever the flags
@@ -195,10 +213,10 @@ def test_perron_contains_reference_radius(matrix):
 @example([[2, 1, 0], [0, 2, 1], [0, 0, 2]], Fraction(1, 10**6))  # a triple root at the radius
 @example([[6, 4, 0, 0], [1, 4, 0, 0], [0, 0, 6, 4], [0, 0, 1, 4]], Fraction(1))  # double root
 def test_newton_step_brackets_the_radius(matrix, above):
-    # perron_interval's certificate: at rational t above the largest row
-    # sum, so above the radius, delta = chi(t) / chi'(t) has rho in
-    # [t - n delta, t - delta]
-    n, t = len(matrix), max(map(sum, matrix)) + above
+    # perron_interval's certificate: at rational t above its start, the
+    # smaller of the largest row and column sums, so above the radius,
+    # delta = chi(t) / chi'(t) has rho in [t - n delta, t - delta]
+    n, t = len(matrix), start(matrix) + above
     poly = char_poly(matrix)
     delta = horner(poly, t) / sum(k * c * t ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as below
@@ -231,6 +249,60 @@ def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as above
     assert mpmath.mpf(est.lo.numerator) / est.lo.denominator <= radius + slack
     assert mpmath.mpf(est.hi.numerator) / est.hi.denominator >= radius - slack
+
+
+def fraction_newton(coeffs, top, tn, td):
+    # _newton's loop with lo and the width test in Fractions: the reference
+    # for its integer bookkeeping
+    n = len(coeffs) - 1
+    bmax = (-(-td // tn)).bit_length() + 2 * n.bit_length() + 2
+    a, b, lo = top, 0, Fraction(0)
+    for step in range(1, n * (bmax + top.bit_length()) + 65):
+        v, dv = spectral._scaled_value(coeffs, a, 1 << b)
+        if v == 0:
+            lo = Fraction(a, 1 << b)
+            break
+        e = min(bmax, max(b, 2 * (a * dv // v).bit_length() + 32))
+        lo = max(lo, Fraction(((a * dv - n * v) << e - b) // dv, 1 << e))
+        a, b = -(-((a * dv - v) << e - b) // dv), e
+        if (Fraction(a, 1 << b) - lo) * td <= tn:
+            break
+    return lo, Fraction(a, 1 << b), step
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
+       st.integers(1, 400))
+@example([[6, 4, 0, 0], [1, 4, 0, 0], [0, 0, 6, 4], [0, 0, 1, 4]], 400)  # double root
+@example([[7]], 1)  # chi(top) = 0: a point in one step
+def test_integer_newton_equals_the_fraction_loop(matrix, k):
+    # the same lo, hi and steps from the same start, at tol 2^-k
+    coeffs = char_poly(matrix).coeffs
+    assume(any(coeffs[:-1]))  # chi = x^n never reaches _newton
+    top = start(matrix)
+    assert spectral._newton(coeffs, top, 1, 1 << k) == fraction_newton(coeffs, top, 1, 1 << k)
+
+
+def test_transfer_enclosure_takes_one_step_from_the_column_sums():
+    # the largest column sum, p^(d-1), lies above rho by a relative amount of
+    # about 1/(d-1)!, so the first step meets tol; from the largest row sum,
+    # about 2 rho, the same tol takes 24-36 steps
+    for d in (24, 30, 40):
+        matrix = build_system(2, d).matrix
+        assert max(map(sum, zip(*matrix))) == 2 ** (d - 1) < max(map(sum, matrix))
+        est = perron_interval(matrix, "1e-9")
+        assert est.converged and est.iterations == 1, d
+
+
+def test_upper_ends_are_at_most_p_to_the_d_minus_1_and_d_minus_1():
+    # every column sum of U is at most p^(d-1), the enclosure starts at most
+    # there and never rises, and the complexity is capped at d - 1, as a
+    # logarithm of 2^(d-1) itself has an upper end above d - 1
+    points = [(p, d) for p, d_range, _ in _VERIFY_GRID for d in d_range if d >= 3]
+    for p, d in points + [(2, d) for d in range(24, 41)]:
+        assert max(map(sum, zip(*build_system(p, d).matrix))) <= p ** (d - 1), (p, d)
+        out = frobenius_complexity(p, d, "1e-9")
+        assert out.radius.hi <= p ** (d - 1) and out.hi <= d - 1, (p, d)
 
 
 def reachable(rows, i):
@@ -271,7 +343,7 @@ def sized_integers(max_bits):
 @example([0, 0, 0], 0, 1)
 @example([], -(2**1000) + 1, 2**1000 - 1)
 def test_scaled_value_has_the_sign_of_the_fraction_value(low, a, b):
-    # perron_interval's sign check and Newton step, against Horner's rule
+    # perron_interval's Newton step, against Horner's rule
     # on the Fraction
     poly = CharPoly((*low, 1))
     x = Fraction(a, b)
@@ -572,7 +644,7 @@ def test_frobenius_complexity_meets_its_width(tol):
 def test_frobenius_complexity_refuses_an_unconverged_enclosure(monkeypatch):
     # the enclosure is valid but wider than tol, so no interval is returned
     monkeypatch.setattr(spectral, "_newton", stopped_at_width_one)
-    with pytest.raises(NotConverged, match="stopped after 6 steps"):
+    with pytest.raises(NotConverged, match="stopped after 1 steps"):
         frobenius_complexity(2, 6, "1e-9")
 
 
@@ -657,11 +729,11 @@ def test_frobenius_complexity_rejects_small_d():
 
 def test_transfer_systems_have_sign_change_certificates():
     # p = 2, d = 24, 30, 40 are certify's wide points: chi of degree up to 38
-    # with coefficients of about 780 bits, whose sign CharPoly also takes
+    # with coefficients of about 780 bits, whose sign the helper takes at
+    # lo - tol and hi + tol by Horner's rule on Fractions
     tol = Fraction("1e-8")
     for p, d in [(2, 4), (2, 5), (3, 4), (5, 4), (2, 24), (2, 30), (2, 40)]:
         system = build_system(p, d)
         est = perron_interval(system.matrix, tol)
-        assert est.converged and est.sign_change
-        poly = char_poly(system.matrix)
-        assert horner(poly, est.lo - tol) < 0 < horner(poly, est.hi + tol)
+        assert est.converged
+        assert sign_change(system.matrix, est, tol)
