@@ -5,19 +5,28 @@ the transfer matrix.  Nothing here is floating point: every bound is a
 Fraction that provably brackets the target.
 
 * ``perron_interval`` encloses the spectral radius rho of a nonnegative
-  integer matrix by Newton's method from the right on its exact
-  characteristic polynomial chi, of degree n.  rho is an eigenvalue and
-  every eigenvalue has Re lambda <= rho (Perron-Frobenius), so at real t >
-  rho each term of chi'(t) / chi(t) = sum_i 1 / (t - lambda_i) has real
-  part in (0, 1 / (t - rho)], the term of rho equal to it, and delta =
-  chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho: rho lies in
-  [t - n delta, t - delta].  Each step is certified by itself, so the
-  interval holds rho however the loop stops.  The first t is the smaller of
-  the largest row sum and the largest column sum, each >= rho as rho(U) =
-  rho(U^T); on a transfer matrix the column sums are at most p^(d-1), which
-  lies above rho by a relative amount of about 1/(d-1)!.  t = a / 2^b stays
-  dyadic, lo is kept at the same exponent b, and 2^(bn) chi(t) and
-  2^(b(n - 1)) chi'(t) are integers by Horner's rule.
+  integer n x n matrix U first by the Collatz-Wielandt bounds of the left
+  power steps y_k = y_(k-1)^T U, y_0 = 1: while y_(k-1) > 0, min_j and
+  max_j of y_(k,j) / y_(k-1,j) bracket rho (Wielandt 1950; Horn and
+  Johnson, Matrix Analysis, Thm 8.1.26), the min never falls and the max
+  never rises, and the max is at most the largest column sum.  On a
+  transfer matrix 1^T is almost a left Perron vector, as every column but
+  one sums to p^(d-1), so a few steps often meet tol.  The loop gives up
+  at a zero entry of y_k, or when its last contraction, repeated for the
+  rest of n steps (those a Krylov chi spends), would not reach tol.  Then
+  it runs Newton's method from the right on the exact characteristic
+  polynomial chi, of degree n.  rho is an eigenvalue and every eigenvalue
+  has Re lambda <= rho (Perron-Frobenius), so at real t > rho each term of
+  chi'(t) / chi(t) = sum_i 1 / (t - lambda_i) has real part in (0, 1 / (t
+  - rho)], the term of rho equal to it, and delta = chi(t) / chi'(t) has
+  (t - rho) / n <= delta <= t - rho: rho lies in [t - n delta, t - delta].
+  Each step is certified by itself, so the interval holds rho however the
+  loop stops.  The first t is the smaller of the largest row sum and the
+  largest column sum, each >= rho as rho(U) = rho(U^T); on a transfer
+  matrix the column sums are at most p^(d-1), which lies above rho by a
+  relative amount of about 1/(d-1)!.  t = a / 2^b stays dyadic, lo is kept
+  at the same exponent b, and 2^(bn) chi(t) and 2^(b(n - 1)) chi'(t) are
+  integers by Horner's rule.
 
 * ``log2_interval`` brackets log2(x) for rational x by argument reduction
   and a series, in fixed-point integers at scale S = 2^w.  With y = x / 2^k
@@ -56,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from .errors import NotCertified, NotConverged
 from .transfer import CharPoly, Matrix, _validate_matrix, build_system, char_poly
@@ -96,9 +106,10 @@ class RationalInterval:
 class SpectralEstimate(RationalInterval):
     """Certified enclosure of a spectral radius.
 
-    ``iterations`` counts the Newton steps on chi.  ``converged`` records
-    whether the requested width was reached within their cap; the interval
-    is valid either way.
+    ``iterations`` counts the Collatz-Wielandt steps when they decide, and
+    otherwise the Newton steps on chi.  ``converged`` records whether the
+    requested width was reached within their cap; the interval is valid
+    either way.
     """
 
     iterations: int = 0
@@ -117,31 +128,66 @@ def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
-    By Newton's method on chi, the exact characteristic polynomial of degree
-    n, from the right.  By Perron-Frobenius rho is an eigenvalue and every
-    eigenvalue has Re lambda <= rho, so at real t > rho, chi(t) > 0 and
-    chi'(t) / chi(t) = sum_i 1 / (t - lambda_i), each term of real part in
-    (0, 1 / (t - rho)] and the term of rho equal to it.  Thus delta =
-    chi(t) / chi'(t) has (t - rho) / n <= delta <= t - rho, that is, rho lies
-    in [t - n delta, t - delta].  From t = top, the smaller of the largest
-    row sum and the largest column sum, both >= rho as rho(U) = rho(U^T),
-    each step takes hi = t - delta, rounded up to a dyadic of at most bmax =
-    bits(ceil(1/tol)) + 2 bits(n) + 2 fractional bits, as the next t and lo
-    = max(lo, t - n delta), rounded down, until hi - lo <= tol.  A t with
-    chi(t) = 0 is rho itself, and the result a point; chi = x^n (no cycle)
-    gives [0, 0].  At the cap of n (bmax + bits(top)) + 64 steps the
-    interval so far is taken (not converged).
+    First by the Collatz-Wielandt bounds: the ratios of y_k = y_(k-1)^T U to
+    y_(k-1) > 0, y_0 = 1, bracket rho, as for every nonnegative matrix and
+    rho(U^T) = rho(U), and their [min, max], with general rational ends, is
+    the result once it is no wider than tol; ``iterations`` is then k.
+    Where that loop gives up (module docstring), by Newton's method on chi,
+    the exact characteristic polynomial of degree n, from the right.  By
+    Perron-Frobenius rho is an eigenvalue and every eigenvalue has Re
+    lambda <= rho, so at real t > rho, chi(t) > 0 and chi'(t) / chi(t) =
+    sum_i 1 / (t - lambda_i), each term of real part in (0, 1 / (t - rho)]
+    and the term of rho equal to it.  Thus delta = chi(t) / chi'(t) has
+    (t - rho) / n <= delta <= t - rho, that is, rho lies in [t - n delta,
+    t - delta].  From t = top, the smaller of the largest row sum and the
+    largest column sum, both >= rho, each step takes hi = t - delta,
+    rounded up to a dyadic of at most bmax = bits(ceil(1/tol)) + 2 bits(n)
+    + 2 fractional bits, as the next t and lo = max(lo, t - n delta),
+    rounded down, until hi - lo <= tol.  A t with chi(t) = 0 is rho itself,
+    and the result a point; chi = x^n (no cycle) gives [0, 0].  At the cap
+    of n (bmax + bits(top)) + 64 steps the interval so far is taken (not
+    converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
         raise ValueError("matrix entries must be nonnegative")
     tol = _as_fraction(tol)
+    if found := _collatz_wielandt(rows, tol.numerator, tol.denominator):
+        return found
     coeffs = char_poly(rows).coeffs
     if not any(coeffs[:-1]):  # chi = x^n: no cycle, radius 0
         return SpectralEstimate(0, 0)
     top = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
     lo, hi, steps = _newton(coeffs, top, tol.numerator, tol.denominator)
     return SpectralEstimate(lo, hi, iterations=steps, converged=hi - lo <= tol)
+
+
+def _collatz_wielandt(rows: Matrix, tn: int, td: int) -> SpectralEstimate | None:
+    # [lo, hi] from the ratios of y_k = y_(k-1)^T U to y_(k-1) > 0, y_0 = 1,
+    # or None when some y_k has a zero entry or the gap's log2, L_k, would
+    # not reach tol's within the n steps a Krylov chi takes: from k = 2 on,
+    # if L_k + (n - k)(L_k - L_(k-1)) > log2 tol, in bit lengths.  Each pair
+    # is found by cross-multiplying, and the Fractions are built on return
+    n, cols, y = len(rows), list(zip(*rows)), [1] * len(rows)
+    for k in range(1, n + 1):
+        z = [sum(map(mul, y, col)) for col in cols]
+        if not all(z):
+            return None
+        ln, ld = hn, hd = z[0], y[0]
+        for u, v in zip(z, y):
+            if u * ld < ln * v:
+                ln, ld = u, v
+            elif u * hd > hn * v:
+                hn, hd = u, v
+        y = z
+        gap, den = hn * ld - ln * hd, hd * ld
+        if gap * td <= tn * den:
+            return SpectralEstimate(Fraction(ln, ld), Fraction(hn, hd), iterations=k)
+        bits = gap.bit_length() - den.bit_length()
+        if k > 1 and bits + (n - k) * (bits - last) > tn.bit_length() - td.bit_length():
+            return None
+        last = bits
+    return None
 
 
 def _newton(coeffs: tuple[int, ...], top: int, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
@@ -282,8 +328,10 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     3m / 4 and ln(hi / lo) <= delta / lo <= min(tol, 1) / 3; as ln p > 2/3,
     log_p(hi / lo) <= min(tol, 1) / 2, and each logarithm adds <= tol / 4.
     An enclosure that stops short of delta raises ``NotConverged``.  The
-    upper end is at most d - 1: rho is at most U's largest column sum, and
-    column j sums to p^(d-1) - M_d(p - 1 - j) <= p^(d-1).
+    upper end is at most d - 1: the enclosure's is at most U's largest
+    column sum, which bounds both the largest Collatz-Wielandt ratio and
+    Newton's first t, and column j sums to p^(d-1) - M_d(p - 1 - j) <=
+    p^(d-1).
 
     rho is the counts' growth rate when U is primitive and x0 and w are
     nonnegative and nonzero: then w U^e x0 ~ rho^e (w v)(u x0) for Perron

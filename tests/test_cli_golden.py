@@ -5,10 +5,11 @@ captured from the code before the CLI was rewired onto the library's
 sequence, complexity and engine code.  The changed ``complexity`` and
 ``segre`` records were captured again when the radius enclosure moved to
 shifted inverse iteration, again when it moved to Newton's method on
-the characteristic polynomial, and again when Newton's method began at the
-smaller of the largest row and column sums, each of which prints other
-endpoints and iteration counts; a second test checks every printed interval
-against mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
+the characteristic polynomial, again when Newton's method began at the
+smaller of the largest row and column sums, and again when Collatz-Wielandt
+ratio bounds began to decide the enclosure before Newton's method, each of
+which prints other endpoints and iteration counts; a second test checks
+every printed interval against mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
 again when the carry and closed engines began to count the first level
 themselves; a third test checks those carry records against ``enumerate``.
 Every record must still match byte for byte.  Run ``python
@@ -19,10 +20,12 @@ The grid: ``mdpoly`` in both formats; ``sequence`` for every engine on
 small cells, each cell in one of the three formats in turn, leaving out
 cells that would enumerate more than 10^5 compositions (about 0.1 s each);
 ``complexity`` and ``segre`` in both formats at four tolerances, and
-``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8 and at 1e-15 for
-d = 24, narrow enough for the radius enclosure's most Newton steps (2-9
-iterations), and at 1e-9 for d = 30 and 40, where one step from the column
-sums meets tol and the complexity's upper end is capped at d - 1;
+``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8, narrow enough
+for the most Newton steps, at 1e-15 and 1e-30 for (2, 24), at 1e-9 for
+(2, 30) and (2, 40), where the complexity's upper end is capped at d - 1,
+and at 1e-3 and 1e-9 for (3, 14): the ratio bounds decide (2, 24) at
+1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and give up at the other two,
+where Newton's method runs on a Krylov chi of degree 22 and 12;
 ``verify`` in full, with an injected fault and with a tripping guard (a
 passing ``verify --quiet`` prints the last line of ``verify``;
 ``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
@@ -82,8 +85,8 @@ def grid():
                     cmds.append(([command, "--p", p, "--d", d, "--tol", tol,
                                   "--format", fmt], {}))
     for p, d, tols in ((2, 6, ("1e-100", "1e-300")), (3, 8, ("1e-100", "1e-300")),
-                       (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15",)),
-                       (2, 30, ("1e-9",)), (2, 40, ("1e-9",))):
+                       (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15", "1e-30")),
+                       (2, 30, ("1e-9",)), (2, 40, ("1e-9",)), (3, 14, ("1e-3", "1e-9"))):
         for tol in tols:  # narrow enough for the most Newton steps, or wide matrices
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
@@ -246,8 +249,8 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
                 assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
                 checked += 1
     # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in
-    # json; then 9 narrow or wide complexity tables of 2 intervals each
-    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 9 * 2
+    # json; then 12 narrow or wide complexity tables of 2 intervals each
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 12 * 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from frobcx import spectral
-from frobcx.cli import _VERIFY_GRID
+from frobcx.cli import _VERIFY_GRID, main
 from frobcx.errors import NotCertified, NotConverged
 from frobcx.spectral import (
     RationalInterval,
@@ -42,6 +42,10 @@ def sign_change(matrix, est, tol):
     return horner(poly, est.lo - tol) < 0 < horner(poly, est.hi + tol)
 
 
+def refuse_chi(rows):
+    raise AssertionError(f"chi ran at n = {len(rows)}")
+
+
 def test_char_poly_frozen_examples():
     cp = char_poly([[6, 4], [1, 4]])
     assert cp.coeffs == (20, -10, 1)
@@ -57,9 +61,10 @@ def test_char_poly_rejects_nonsquare():
         char_poly([[1, 2, 3], [4, 5, 6]])
 
 
-def test_perron_exact_on_dimension_one():
-    # chi = x - u vanishes at the row sum u: the radius itself, in one step;
-    # every d = 3 transfer matrix is 1 x 1
+def test_perron_exact_on_dimension_one(monkeypatch):
+    # the one ratio of 1^T U to 1^T is u, the radius itself, in one step and
+    # without chi; every d = 3 transfer matrix is 1 x 1
+    monkeypatch.setattr(spectral, "char_poly", refuse_chi)
     for matrix in [[[7]], [[10**6]]] + [build_system(p, 3).matrix for p in (2, 3, 5, 7, 101)]:
         est = perron_interval(matrix, Fraction(1, 10**9))
         assert (est.lo, est.hi, est.iterations) == (matrix[0][0], matrix[0][0], 1)
@@ -283,15 +288,89 @@ def test_integer_newton_equals_the_fraction_loop(matrix, k):
     assert spectral._newton(coeffs, top, 1, 1 << k) == fraction_newton(coeffs, top, 1, 1 << k)
 
 
-def test_transfer_enclosure_takes_one_step_from_the_column_sums():
-    # the largest column sum, p^(d-1), lies above rho by a relative amount of
-    # about 1/(d-1)!, so the first step meets tol; from the largest row sum,
-    # about 2 rho, the same tol takes 24-36 steps
+def test_transfer_enclosure_needs_no_chi_at_wide_points(monkeypatch):
+    # 1^T is almost a left Perron vector of U: at p = 2 only column 1 falls
+    # short of 2^(d-1), by 1, so a few ratio steps meet tol, where chi at
+    # d = 200 alone takes most of a minute
+    monkeypatch.setattr(spectral, "char_poly", refuse_chi)
     for d in (24, 30, 40):
-        matrix = build_system(2, d).matrix
-        assert max(map(sum, zip(*matrix))) == 2 ** (d - 1) < max(map(sum, matrix))
-        est = perron_interval(matrix, "1e-9")
-        assert est.converged and est.iterations == 1, d
+        est = perron_interval(build_system(2, d).matrix, "1e-9")
+        assert est.converged and est.width <= Fraction(1, 10**9), d
+        assert est.iterations <= 5 and est.hi <= 2 ** (d - 1), d
+    out = frobenius_complexity(2, 200, Fraction(1, 10**300))
+    assert 0 < out.lo < out.hi <= 199 and out.hi - out.lo <= Fraction(1, 10**300)
+    assert out.radius.hi <= 2**199 and out.radius.converged
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
+       st.integers(1, 400))
+@example([[7]], 1)
+@example([[1, 2], [3, 2]], 400)  # equal column sums: a point in one step
+@example([[0, 2], [1, 0]], 1)  # periodic: the ratios never narrow
+def test_collatz_wielandt_bounds_meet_the_newton_enclosure(matrix, k):
+    # whenever the ratio bounds decide, at tol 2^-k, they are no wider than
+    # tol, below the largest column sum, and meet Newton's enclosure of the
+    # same chi at 2^-200
+    est = spectral._collatz_wielandt(matrix, 1, 1 << k)
+    if est is None:
+        return
+    assert est.converged and est.width <= Fraction(1, 1 << k)
+    assert est.hi <= max(map(sum, zip(*matrix)))
+    lo, hi, _ = spectral._newton(char_poly(matrix).coeffs, start(matrix), 1, 1 << 200)
+    assert est.lo <= hi and lo <= est.hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]) | st.integers(0, 10**4), max_n=8),
+       st.integers(0, 3))
+def test_equal_column_sums_give_a_point_in_one_step(matrix, extra):
+    # 1^T U = s 1^T: 1 is a left Perron vector and s the radius, as with
+    # every 1 x 1 matrix [[s]]; the last row tops each column up to s
+    s = max(map(sum, zip(*matrix))) + extra
+    assume(s > 0)
+    matrix[-1] = [v + s - sum(col) for v, col in zip(matrix[-1], zip(*matrix))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "char_poly", refuse_chi)
+        est = perron_interval(matrix, Fraction(1, 10**9))
+    assert (est.lo, est.hi, est.iterations, est.converged) == (s, s, 1, True)
+
+
+def test_matrices_the_ratios_cannot_decide_keep_their_newton_results():
+    # the enclosures Newton's method gave before the ratio bounds ran first:
+    # periodic, where they never narrow; a zero column, where 1^T U has a
+    # zero entry; and [[0]], with no cycle
+    tol = Fraction(1, 10**6)
+    for matrix, lo, hi, steps in (
+            ([[0, 2], [1, 0]], Fraction(94906265, 67108864), Fraction(47453133, 33554432), 5),
+            ([[3, 0], [9, 0]], Fraction(201326591, 67108864), Fraction(201326593, 67108864), 7),
+            ([[0]], 0, 0, 0)):
+        est = perron_interval(matrix, tol)
+        assert (est.lo, est.hi, est.iterations, est.converged) == (lo, hi, steps, True), matrix
+
+
+def test_certify_pin_computes_chi_once_inside_perron_interval(monkeypatch, capsys):
+    # complexity --p 2 --d 6 --tol 1e-20: the ratio bounds give up at step 2,
+    # and Newton's method certifies the radius on the 4 x 4 matrix's chi
+    calls, inside = [], []
+    enclose = spectral.perron_interval
+
+    def traced_enclose(matrix, tol):
+        inside.append(True)
+        try:
+            return enclose(matrix, tol)
+        finally:
+            inside.pop()
+
+    def traced_chi(rows):
+        calls.append((len(rows), bool(inside)))
+        return char_poly(rows)
+
+    monkeypatch.setattr(spectral, "perron_interval", traced_enclose)
+    monkeypatch.setattr(spectral, "char_poly", traced_chi)
+    assert main(["complexity", "--p", "2", "--d", "6", "--tol", "1e-20"]) == 0
+    capsys.readouterr()
+    assert calls == [(4, True)]
 
 
 def test_upper_ends_are_at_most_p_to_the_d_minus_1_and_d_minus_1():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from frobcx import cli, transfer
 from frobcx.closedform import closed_form_d3
 from frobcx.enumeration import count_basis_carryvectors, count_basis_enumeration
+from frobcx.poincare import build_table
 from frobcx.transfer import (
     ComplexityReport,
     TransferSystem,
@@ -553,3 +554,49 @@ def test_char_poly_survives_a_wrong_modular_digit(monkeypatch):
     # never reaches 0, and the step bound ends the loop
     assert run(2 * transfer._Q, lambda k: k == 2)[0] == reference
     assert run(2 * transfer._Q, lambda k: True) == (None, bound)
+
+
+def _carries(p, d):
+    # Holte's carries matrix: p^d times the chance that adding d base-p
+    # digits to carry i leaves carry j, H[i][j] = sum_{r<p} M_d(pj + r - i)
+    m = build_table(p, d).coeff
+    return [[sum(m(p * j + r - i) for r in range(p)) for j in range(d)] for i in range(d)]
+
+
+def _carries_chi(p, d):
+    # prod_{k<d} (x - p^(d-k)), low coefficient first: Holte's spectrum of H
+    chi = [1]
+    for k in range(d):
+        chi = [u - p ** (d - k) * v for u, v in zip([0, *chi], [*chi, 0])]
+    return tuple(chi)
+
+
+def test_krylov_chi_of_the_carries_matrix_has_its_closed_form(monkeypatch):
+    # an exact reference for the Krylov path past Berkowitz's reach: H is
+    # centrosymmetric, so its Krylov space from v = (1, ..., 1) is about half
+    # of it, but S^-1 H S, S = I + E_01 (column 1 += column 0, then row 0 -=
+    # row 1), has a cyclic v and the same chi; below N0 the Krylov solve is
+    # checked directly, as char_poly keeps Berkowitz there
+    def refuse(rows):
+        raise AssertionError(f"Berkowitz ran at n = {len(rows)}")
+
+    monkeypatch.setattr(transfer, "_berkowitz", refuse)
+    for p, d in ((2, 4), (2, 10), (3, 7), (5, 12), (2, 40), (5, 60)):
+        rows = _carries(p, d)
+        for row in rows:
+            row[1] += row[0]
+        rows[0] = [a - b for a, b in zip(rows[0], rows[1])]
+        got = char_poly(rows).coeffs if d >= N0 else _krylov_chi(tuple(map(tuple, rows)))
+        assert got == _carries_chi(p, d), (p, d)
+
+
+def test_berkowitz_chi_of_the_carries_matrix_has_every_power_of_p_as_a_root():
+    # H itself: the Krylov basis is singular, and Berkowitz's fallback answers
+    for p, d in ((2, 10), (3, 14), (2, 40)):
+        rows = tuple(map(tuple, _carries(p, d)))
+        assert {sum(row) for row in rows} == {p**d}
+        assert _krylov_chi(rows) is None
+        chi = char_poly(rows)
+        assert chi.degree == d
+        for k in range(d):
+            assert sum(c * p ** ((d - k) * i) for i, c in enumerate(chi.coeffs)) == 0, (p, d, k)
