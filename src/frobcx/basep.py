@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 
 class Prime(int):
@@ -26,7 +27,7 @@ class Prime(int):
     def __new__(cls, value: int) -> "Prime":
         if isinstance(value, cls):
             return value
-        v = int(value)
+        v = index(value)  # no truncation: 7.9 raises TypeError
         if v < 2:
             raise ValueError(f"{v} is not prime")
         for q in range(2, isqrt(v) + 1):

@@ -53,10 +53,11 @@ basis by p-adic lifting from dimension 12 on and by Berkowitz's
 division-free method below it or where the Krylov basis is singular.
 
 The growth rate of the counts is this spectral radius, as the transfer
-matrix is primitive and its seed and weights nonnegative and nonzero.
-``frobenius_complexity`` checks these conditions at run time, and
-tests/test_spectral.py's ``test_growth_rate_is_the_spectral_radius``
-checks the growth rate exactly for p in {2, 3, 5, 7, 11} and 3 <= d <= 29.
+matrix, positive on its diagonal and beside it, is primitive and its seed
+and weights nonnegative and nonzero.  ``frobenius_complexity`` checks these
+conditions at run time, and tests/test_spectral.py's
+``test_growth_rate_is_the_spectral_radius`` checks them for p <= 11 at
+3 <= d <= 29 and for p = 101 at 3 <= d <= 8.
 """
 
 from __future__ import annotations
@@ -116,15 +117,6 @@ class SpectralEstimate(RationalInterval):
     converged: bool = True
 
 
-def _blocks(rows: Matrix) -> set[tuple[int, ...]]:
-    # the strongly connected blocks that hold a cycle, by Warshall's closure
-    reach = [sum([1 << j for j, v in enumerate(row) if v]) for row in rows]
-    for k in range(len(rows)):  # then bit j of reach[i] marks a path from i to j
-        reach = [r | reach[k] if r >> k & 1 else r for r in reach]
-    return {tuple([j for j, s in enumerate(reach) if r >> j & s >> i & 1])
-            for i, r in enumerate(reach) if r >> i & 1}
-
-
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
@@ -142,11 +134,11 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
     t - delta].  From t = top, the smaller of the largest row sum and the
     largest column sum, both >= rho, each step takes hi = t - delta,
     rounded up to a dyadic of at most bmax = bits(ceil(1/tol)) + 2 bits(n)
-    + 2 fractional bits, as the next t and lo = max(lo, t - n delta),
-    rounded down, until hi - lo <= tol.  A t with chi(t) = 0 is rho itself,
-    and the result a point; chi = x^n (no cycle) gives [0, 0].  At the cap
-    of n (bmax + bits(top)) + 64 steps the interval so far is taken (not
-    converged).
+    + 2 fractional bits, as the next t and lo = t - n delta, rounded down,
+    until hi - lo <= tol; each step's [lo, hi] holds rho by itself.  A t
+    with chi(t) = 0 is rho itself, and the result a point; chi = x^n (no
+    cycle) gives [0, 0].  At the cap of n (bmax + bits(top)) + 64 steps the
+    interval so far is taken (not converged).
     """
     rows = _validate_matrix(matrix)
     if any(v < 0 for row in rows for v in row):
@@ -193,22 +185,22 @@ def _collatz_wielandt(rows: Matrix, tn: int, td: int) -> SpectralEstimate | None
 def _newton(coeffs: tuple[int, ...], top: int, tn: int, td: int) -> tuple[Fraction, Fraction, int]:
     # (lo, hi, steps) for rho, the largest root of chi = sum coeffs[k] x^k,
     # chi != x^n, by Newton steps down from t = a / 2^b = top >= rho, with
-    # tol = tn / td.  lo / 2^b is kept as its integer numerator lo, shifted
-    # left as b grows, and the Fractions are built on return.  Each next t
+    # tol = tn / td.  lo is the numerator of this step's t - n delta over the
+    # next t's 2^b, and the Fractions are built on return.  Each next t
     # keeps e bits, twice those of t / delta plus 32, up to bmax.  A cycle of
     # length k gives U^k a diagonal entry >= 1, so rho >= 1, and a step that
     # rounds back to t has t / delta > 2^e, so e = bmax; its width is then
     # below (n + 1) 2^-bmax < tol, and it converges
     n = len(coeffs) - 1
     bmax = (-(-td // tn)).bit_length() + 2 * n.bit_length() + 2
-    a, b, lo = top, 0, 0
+    a, b = top, 0
     for step in range(1, n * (bmax + top.bit_length()) + 65):
         v, dv = _scaled_value(coeffs, a, 1 << b)  # delta = v / (dv 2^b)
         if v == 0:  # t is a root, so t = rho
             lo = a
             break
         e = min(bmax, max(b, 2 * (a * dv // v).bit_length() + 32))  # t / delta = a dv / v
-        lo = max(lo << e - b, ((a * dv - n * v) << e - b) // dv)
+        lo = ((a * dv - n * v) << e - b) // dv
         a, b = -(-((a * dv - v) << e - b) // dv), e
         if (a - lo) * td <= tn << b:
             break
@@ -335,17 +327,21 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
 
     rho is the counts' growth rate when U is primitive and x0 and w are
     nonnegative and nonzero: then w U^e x0 ~ rho^e (w v)(u x0) for Perron
-    vectors u, v > 0.  That is checked first, as U being one strongly
-    connected block (irreducible) with some U_ii > 0 (aperiodic); a failed
-    condition raises ``NotCertified``, naming it.
+    vectors u, v > 0.  That is checked first, U by its band: U_ij > 0 for
+    |i - j| <= 1 makes U irreducible, by paths i -> i +- 1, and primitive,
+    as U_ii > 0 (Horn and Johnson, Matrix Analysis, 8.5).  The band always
+    holds: U_ij = M_d(p i - j + p - 1), i, j = 1..d - 2, is positive iff 0
+    <= p i - j + p - 1 <= d (p - 1), and at j = i - 1, i, i + 1 that is
+    (p - 1)(i + 1) + 1, (p - 1)(i + 1) and (p - 1)(i + 1) - 1, all in [0,
+    d (p - 1)] as 1 <= i <= d - 2.  A failed condition raises
+    ``NotCertified``, naming it; a primitive U without the band fails too.
     """
     tol = _as_fraction(tol)
     system = build_system(p, d)
     m = max(row[i] for i, row in enumerate(system.matrix))
     for holds, condition in (
-            (_blocks(system.matrix) == {tuple(range(system.dim))},
-             "the transfer matrix is one strongly connected block"),
-            (m > 0, "some diagonal entry of the transfer matrix is positive"),
+            (all(min(row[max(i - 1, 0):i + 2]) > 0 for i, row in enumerate(system.matrix)),
+             "every entry of the transfer matrix on or beside its diagonal is positive"),
             (min(system.x0) >= 0 and any(system.x0), "x0 is nonnegative and nonzero"),
             (min(system.weights) >= 0 and any(system.weights),
              "the weights are nonnegative and nonzero")):

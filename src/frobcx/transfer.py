@@ -67,7 +67,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
-from operator import mul, sub
+from operator import index, mul, sub
 
 from .basep import Prime
 from .poincare import build_table
@@ -145,7 +145,7 @@ class CharPoly:
 
 
 def _validate_matrix(matrix) -> Matrix:
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    rows = tuple(tuple(map(index, row)) for row in matrix)  # no truncation: 2.5 raises TypeError
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")

@@ -25,6 +25,12 @@ def test_prime_rejects_composites_and_small():
             Prime(bad)
 
 
+def test_prime_refuses_a_non_integer():
+    # not truncated to the prime 7
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Prime(7.9)
+
+
 def test_digits_frozen_examples():
     assert tuple(digits(11, 2, 4)) == (1, 1, 0, 1)
     assert tuple(digits(11, 3, 3)) == (2, 0, 1)

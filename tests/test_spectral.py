@@ -261,14 +261,14 @@ def fraction_newton(coeffs, top, tn, td):
     # for its integer bookkeeping
     n = len(coeffs) - 1
     bmax = (-(-td // tn)).bit_length() + 2 * n.bit_length() + 2
-    a, b, lo = top, 0, Fraction(0)
+    a, b = top, 0
     for step in range(1, n * (bmax + top.bit_length()) + 65):
         v, dv = spectral._scaled_value(coeffs, a, 1 << b)
         if v == 0:
             lo = Fraction(a, 1 << b)
             break
         e = min(bmax, max(b, 2 * (a * dv // v).bit_length() + 32))
-        lo = max(lo, Fraction(((a * dv - n * v) << e - b) // dv, 1 << e))
+        lo = Fraction(((a * dv - n * v) << e - b) // dv, 1 << e)
         a, b = -(-((a * dv - v) << e - b) // dv), e
         if (Fraction(a, 1 << b) - lo) * td <= tn:
             break
@@ -382,32 +382,6 @@ def test_upper_ends_are_at_most_p_to_the_d_minus_1_and_d_minus_1():
         assert max(map(sum, zip(*build_system(p, d).matrix))) <= p ** (d - 1), (p, d)
         out = frobenius_complexity(p, d, "1e-9")
         assert out.radius.hi <= p ** (d - 1) and out.hi <= d - 1, (p, d)
-
-
-def reachable(rows, i):
-    # the indices that a path of nonzero entries, one or more, leads to from i
-    seen, todo = set(), [i]
-    while todo:
-        for j, v in enumerate(rows[todo.pop()]):
-            if v and j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return seen
-
-
-def reference_blocks(rows):
-    # the strongly connected blocks that hold a cycle, by search: the
-    # reference for spectral._blocks
-    reach = [reachable(rows, i) for i in range(len(rows))]
-    return {tuple(sorted(j for j in reach[i] if i in reach[j]))
-            for i in range(len(rows)) if i in reach[i]}
-
-
-@settings(max_examples=150, deadline=None)
-@given(square_matrices(st.sampled_from([0, 0, 0, 1, 2, 3]), max_n=10))
-@example([[0, 1, 0], [1, 0, 1], [0, 0, 1]])
-def test_blocks_are_the_strongly_connected_components(matrix):
-    assert spectral._blocks(matrix) == reference_blocks(matrix)
 
 
 def sized_integers(max_bits):
@@ -731,13 +705,22 @@ def _cycle(n):
     return tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
 
 
+BAND = "every entry of the transfer matrix on or beside its diagonal is positive"
+
+
 @pytest.mark.parametrize("change, condition", [
+    # the ids of the first two cases name the property of a primitive
+    # matrix that each one lacks
     # the diagonal alone: n blocks of one index each
-    (lambda s: {"matrix": tuple(tuple(v * (i == j) for j, v in enumerate(row))
-                                for i, row in enumerate(s.matrix))},
-     "the transfer matrix is one strongly connected block"),
-    (lambda s: {"matrix": _cycle(s.dim)},  # irreducible, period n
-     "some diagonal entry of the transfer matrix is positive"),
+    pytest.param(lambda s: {"matrix": tuple(tuple(v * (i == j) for j, v in enumerate(row))
+                                            for i, row in enumerate(s.matrix))}, BAND,
+                 id="<lambda>-the transfer matrix is one strongly connected block"),
+    pytest.param(lambda s: {"matrix": _cycle(s.dim)}, BAND,  # irreducible, period n
+                 id="<lambda>-some diagonal entry of the transfer matrix is positive"),
+    # primitive, as its square is positive, but U_01 = 0: the band check is
+    # sufficient for primitivity, not necessary
+    (lambda s: {"matrix": tuple(tuple(int((i, j) != (0, 1)) for j in range(s.dim))
+                                for i in range(s.dim))}, BAND),
     (lambda s: {"x0": (0,) * s.dim}, "x0 is nonnegative and nonzero"),
     (lambda s: {"weights": (-1, *s.weights[1:])}, "the weights are nonnegative and nonzero"),
 ])
@@ -751,21 +734,31 @@ def test_frobenius_complexity_refuses_an_uncertified_growth_rate(monkeypatch, ch
         frobenius_complexity(2, 6, "1e-9")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: frobenius_complexity(2.9, 4, "1e-9"),  # not p = 2's complexity
+    lambda: perron_interval([[2.5]], "1e-9"),  # not the point [2, 2]
+    lambda: char_poly([[2.9, 1], [0, 1]]),  # not x^2 - 3x + 2
+])
+def test_non_integral_p_and_entries_are_refused(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
 def test_growth_rate_is_the_spectral_radius():
     # c_e = w . U^(e-2) x0 for e >= 2.  An irreducible U with a positive
     # diagonal is primitive, so U^k / rho^k tends to v u^T with positive
     # Perron vectors v and u, u . v = 1; nonnegative, nonzero w and x0 give
     # c_e ~ (w . v)(u . x0) rho^(e-2), both factors positive, and so
-    # c_e^(1/e) -> rho.
-    assert spectral._blocks(((1, 1), (0, 1))) == {(0,), (1,)}
-    for p in (2, 3, 5, 7, 11):
-        for d in range(3, 30):
-            system = build_system(p, d)
-            u = system.matrix
-            assert all(u[i][i] > 0 for i in range(len(u))), (p, d)
-            assert spectral._blocks(u) == {tuple(range(len(u)))}, (p, d)
-            for vector in (system.x0, system.weights):
-                assert min(vector) >= 0 and any(vector), (p, d)
+    # c_e^(1/e) -> rho.  U is positive on its diagonal and beside it, so
+    # irreducible with a positive diagonal
+    points = [(p, d) for p in (2, 3, 5, 7, 11) for d in range(3, 30)]
+    for p, d in points + [(101, d) for d in range(3, 9)]:
+        system = build_system(p, d)
+        u = system.matrix
+        assert all(u[i][j] > 0 for i in range(len(u))
+                   for j in range(max(i - 1, 0), min(i + 2, len(u)))), (p, d)
+        for vector in (system.x0, system.weights):
+            assert min(vector) >= 0 and any(vector), (p, d)
 
 
 def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():

@@ -2,6 +2,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -569,6 +570,14 @@ def _carries_chi(p, d):
     for k in range(d):
         chi = [u - p ** (d - k) * v for u, v in zip([0, *chi], [*chi, 0])]
     return tuple(chi)
+
+
+def test_eulerian_numbers_are_a_left_eigenvector_of_the_carries_matrix():
+    # Holte's stationary carry distribution: (A(d, j))_j H = p^d (A(d, j))_j,
+    # a check of build_table at large d
+    for p, d in ((2, 4), (3, 6), (5, 7), (2, 12), (2, 40), (3, 30), (2, 60)):
+        rows, a = _carries(p, d), [_eulerian(d, j) for j in range(d)]
+        assert [sum(map(mul, a, col)) for col in zip(*rows)] == [p**d * v for v in a], (p, d)
 
 
 def test_krylov_chi_of_the_carries_matrix_has_its_closed_form(monkeypatch):
