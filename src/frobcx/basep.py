@@ -43,7 +43,7 @@ def digits(a: int, p: int, length: int) -> tuple[int, ...]:
     digits; silently dropping high digits would corrupt every carry
     computation built on top.
     """
-    p = Prime(p)
+    p, a, length = Prime(p), index(a), index(length)  # 2.5 raises TypeError
     if a < 0:
         raise ValueError("negative values have no base-p digit expansion here")
     if length < 0:
@@ -68,8 +68,8 @@ class ExponentVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Prime(self.p))
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "e", int(self.e))
+        object.__setattr__(self, "a", tuple(map(index, self.a)))  # no truncation of 1.9
+        object.__setattr__(self, "e", index(self.e))
         if self.e < 1:
             raise ValueError("e must be >= 1")
         if not self.a:

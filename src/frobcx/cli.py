@@ -163,7 +163,8 @@ def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str
         # passes the limit's, choose without forming p^emax
         if d >= 2 and emax >= 1 and emax * (p.bit_length() - 1) >= limit.bit_length():
             return "transfer"
-        total = composition_count(p**emax - 1, d) if emax >= 1 else 0
+        # d = 1 has one composition per level: no power of p is needed
+        total = 0 if emax < 1 else 1 if d == 1 else composition_count(p**emax - 1, d)
         return "enumerate" if total <= limit else "transfer"
     if engine == "closed" and d != 3:
         raise ValueError("engine 'closed' applies to d = 3 only")

@@ -114,7 +114,8 @@ def count_basis_enumeration(
     """Count the compositions of p^e - 1 that pass the truncation inequalities.
 
     Raises GuardExceeded before any work if the number of compositions
-    exceeds ``max_compositions``.
+    exceeds ``max_compositions``.  At d = 1 there is one composition, and
+    the count is settled before any power of p is formed.
 
     Only the first d-1 coordinates enter the inequalities (the last is
     forced by the degree).  After a prefix of them, the completions that
@@ -135,8 +136,8 @@ def count_basis_enumeration(
         raise ValueError("d must be >= 1")
     if e < 1:
         raise ValueError("e must be >= 1")
-    n_total = p**e - 1
-    needed = composition_count(n_total, d)
+    # d = 1 is settled before any power of p, which takes time linear in e
+    needed = 1 if d == 1 else composition_count(p**e - 1, d)
     if needed > max_compositions:
         raise GuardExceeded("enumeration of compositions", needed, max_compositions)
 
@@ -147,6 +148,7 @@ def count_basis_enumeration(
         # the single composition (p^e - 1,) has no first d-1 coordinates
         return 0
 
+    n_total = p**e - 1
     pw = [p**t for t in range(1, e)]
     states = {(n_total, *[0] * (e - 1)): 1}
     for _ in range(d - 2):

@@ -57,14 +57,15 @@ and to the same string.  ``char_poly`` lives here, next to the recurrence
 that needs it; ``spectral`` re-exports it.  The package does not export
 the four names at the end, ``state`` (binary powering of U), ``_mul``,
 ``complexity_sequence`` and ``ComplexityReport``: no count path calls
-them, but the benchmark does.
+them, but the benchmark does.  Its tests call ``state``; it wraps
+``complexity_sequence`` and reads only the report's one field, ``c``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import index, mul, sub
@@ -361,7 +362,7 @@ def iter_counts(
     that counts.  ``system`` replaces the one ``build_system(p, d)`` would
     assemble; it must be for the same (p, d).
     """
-    p = Prime(p)
+    p, d, emax = Prime(p), index(d), index(emax)  # 3.0 raises TypeError here, not mid-sweep
     if d < 1:
         raise ValueError("d must be >= 1")
     if emax < 0:
@@ -430,31 +431,14 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
     return tuple(x)
 
 
-# not exported; kept for complexity_sequence, which perfbench/spans.py wraps by name
+# not exported; perfbench/spans.py wraps complexity_sequence by name and reads .c
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Counts c_e and their partial sums k_e for e = 0..emax."""
+    """The counts c_0..c_emax, as ``complexity_sequence`` returns them."""
 
-    p: Prime
-    d: int
-    engine: str
     c: tuple[int, ...]
-    k: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        if not self.c or self.c[0] != 0:
-            raise ValueError("c must start with c_0 = 0")
-        if any(x < 0 for x in self.c):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "k", tuple(accumulate(self.c)))
-
-    @property
-    def emax(self) -> int:
-        return len(self.c) - 1
 
 
-# not exported; perfbench/spans.py wraps transfer.complexity_sequence by name
 def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:
-    """Counts for e = 0..emax as ints, by ``sweep``."""
-    return ComplexityReport(p, d, "transfer", tuple(sweep(p, d, emax)))
+    """The counts c_0..c_emax as ints, by ``sweep``."""
+    return ComplexityReport(tuple(sweep(p, d, emax)))

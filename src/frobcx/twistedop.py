@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .basep import Prime
 
@@ -34,6 +35,7 @@ class QuotientRing:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Prime(self.p))
+        object.__setattr__(self, "n", index(self.n))  # 3.5 raises TypeError
         if self.n < 1:
             raise ValueError("truncation order must be >= 1")
 
@@ -158,6 +160,7 @@ class TwistedOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _as_matrix(self.rows))
+        object.__setattr__(self, "degree", index(self.degree))  # 1.5 raises TypeError
         if self.degree < 0:
             raise ValueError("twist degree must be >= 0")
 

@@ -1,6 +1,15 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
 
 from hypothesis import strategies as st
+
+from frobcx.basep import Prime
+
+
+class Unpowered(Prime):
+    """A prime that refuses to be raised to a power, to show none is formed."""
+
+    def __pow__(self, e):
+        raise AssertionError(f"p**{e} formed")
 
 
 def composition_strategy(p, e, d):

@@ -43,6 +43,15 @@ def test_digits_rejects_overflow_and_negative():
         digits(8, 2, 3)  # needs 4 digits
     with pytest.raises(ValueError):
         digits(-1, 2, 3)
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        digits(0, 2, -1)
+
+
+def test_digits_refuses_a_non_integer():
+    # not the float digits (0.5, 1.0, 0.0)
+    for a, length in ((2.5, 3), (2, 3.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            digits(a, 2, length)
 
 
 @settings(max_examples=100)
@@ -76,6 +85,15 @@ def test_exponent_vector_validates_degree():
         ExponentVector((4, -1), 2, 2)
     with pytest.raises(ValueError):
         ExponentVector((3,), 2, 0)
+    with pytest.raises(ValueError, match="^need at least one exponent$"):
+        ExponentVector((), 2, 1)
+
+
+def test_exponent_vector_refuses_non_integers():
+    # not truncated to ((1, 2), 2, 2) and e = 2
+    for a, e in (((1.9, 2), 2), ((1, 2), 2.7)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ExponentVector(a, 2, e)
 
 
 def test_carry_sequence_frozen_examples():

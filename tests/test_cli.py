@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobcx import cli, spectral
+from frobcx import cli, spectral, twistedop
 from frobcx.basep import Prime
 from frobcx.cli import (
     AUTO_ENUMERATE_LIMIT, EXACT, ENGINE_TERMS, _CHUNK, _resolve_engine, _sequence_counts,
@@ -26,6 +26,7 @@ from frobcx.enumeration import composition_count, count_basis_carryvectors
 from frobcx.errors import GuardExceeded, NotCertified, NotConverged, Stopped
 from frobcx.transfer import build_system, complexity_term, iter_counts, sweep
 from fractions import Fraction
+from strategies import Unpowered
 
 
 def run(capsys, *argv):
@@ -117,6 +118,17 @@ def test_auto_engine_decides_a_huge_emax_without_its_power():
     # 2^(10^20) would never be formed; at least p^emax compositions for d >= 2
     assert _resolve_engine("auto", Prime(2), 4, 10**20, 10**8) == "transfer"
     assert _resolve_engine("auto", Prime(1009), 2, 10**20, 10**8) == "transfer"
+
+
+def test_one_variable_sequence_forms_no_power_of_p(capsys, monkeypatch):
+    # auto enumerates d = 1, one composition per level; a power of p at each
+    # level took 111 s to reach e = 3 * 10^5
+    monkeypatch.setattr(cli, "Prime", Unpowered)
+    code, out, _ = run(capsys, "sequence", "--p", "2", "--d", "1", "--emax", "300000",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["0,0,0", "1,1,1"]
+    assert out.splitlines()[-1] == "300000,0,1"
 
 
 def test_auto_engine_choice_equals_the_composition_count_rule():
@@ -343,6 +355,41 @@ def test_verify_checks_the_carry_engine_at_the_first_level(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--quiet")
     assert code == 3
     assert out == "MISMATCH p=2 d=1 e=1: carry=2 enumerate=1 transfer=1\n"
+
+
+def test_verify_reports_a_count_outside_its_bounds(capsys, monkeypatch):
+    # the lower bound raised by one, then the composition count lowered by one
+    lower = cli.lower_bound
+    monkeypatch.setattr(cli, "lower_bound", lambda p, d, e: lower(p, d, e) + 1)
+    assert run(capsys, "verify", "--quiet") == (
+        3, "BOUND VIOLATION p=2 d=3 e=2: lower=2 c=1\n", "")
+    monkeypatch.setattr(cli, "lower_bound", lower)
+    upper = cli.composition_count
+    monkeypatch.setattr(cli, "composition_count", lambda total, parts: upper(total, parts) - 1)
+    assert run(capsys, "verify", "--quiet") == (
+        3, "BOUND VIOLATION p=2 d=1 e=1: c=1 > 0\n", "")
+
+
+@pytest.mark.parametrize("broken", [1, 2])
+def test_twisted_demo_fails_when_a_factorization_does_not_hold(capsys, monkeypatch, broken):
+    # compose's degree bumped from call `broken` on: at 1 the split (A, 6) ==
+    # (A, 2) o (I, 4) fails, at 2 the identity chain (I, 2) o (I, 2), composed
+    # next; either stops the check at once
+    compose, calls = twistedop.compose, []
+
+    def bumped(f, g):
+        calls.append(None)
+        h = compose(f, g)
+        return replace(h, degree=h.degree + 1) if len(calls) >= broken else h
+
+    monkeypatch.setattr(twistedop, "compose", bumped)
+    code, out, _ = run(capsys, "twisted", "demo")
+    assert (code, len(calls)) == (3, broken)
+    assert out.splitlines()[-3:] == [
+        "(A,6) == (A,2) o (I,4): FAIL",
+        "A^[p^2] collapses to constant terms: PASS",
+        "identity chain: (I,4) == (I,2)^o1 o (I,2): FAIL",  # the check's one verdict
+    ]
 
 
 def test_twisted_demo_deterministic(capsys):

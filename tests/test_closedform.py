@@ -53,6 +53,12 @@ def test_closed_form_d3_validates():
             closed_form_d3(p, e)
 
 
+def test_closed_form_d3_refuses_a_non_integer_level():
+    # not the float 3.0
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        closed_form_d3(2, 3.0)
+
+
 def test_closed_form_d3_first_level():
     # every monomial of degree p - 1 in three variables is a basis monomial
     for p in (2, 3, 5, 7, 101):

@@ -14,7 +14,7 @@ from frobcx.enumeration import (
 )
 from frobcx.errors import GuardExceeded
 from frobcx.transfer import complexity_term
-from strategies import composition_strategy
+from strategies import Unpowered, composition_strategy
 
 # brute-forced with a standalone per-monomial checker before this package
 # existed; the three engines reproduced every value independently
@@ -91,6 +91,22 @@ def test_composition_count_validates():
         composition_count(-1, 2)
     with pytest.raises(ValueError):
         composition_count(3, 0)
+
+
+def test_enumeration_validates_domain():
+    for p, d, e, message in ((2, 0, 2, "d must be >= 1"), (2, 4, 0, "e must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count_basis_enumeration(p, d, e)
+
+
+def test_one_variable_forms_no_power_of_p():
+    # d = 1 has the one composition (p^e - 1,) at every level: a power of p
+    # at e = 3 * 10^5 made sequence --p 2 --d 1 take time quadratic in emax
+    p = Unpowered(2)
+    assert count_basis_enumeration(p, 1, 1) == 1
+    assert count_basis_enumeration(p, 1, 3 * 10**5) == 0
+    with pytest.raises(GuardExceeded, match="1 iterations needed, guard is 0$"):
+        count_basis_enumeration(p, 1, 5, max_compositions=0)
 
 
 def test_frozen_counts_all_engines():

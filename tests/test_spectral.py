@@ -54,6 +54,7 @@ def test_char_poly_frozen_examples():
     assert char_poly([[5]]).coeffs == (-5, 1)
     assert char_poly([[0, 0], [0, 0]]).coeffs == (0, 0, 1)
     assert char_poly([[1, 2], [3, 4]]).coeffs == (-2, -5, 1)
+    assert str(char_poly([[0, 1], [1, 0]])) == "x^2 - 1"  # the zero x term is left out
 
 
 def test_char_poly_rejects_nonsquare():
@@ -601,6 +602,10 @@ def test_log_interval_contains_oracle(num, den, base, shift):
 
 
 def test_log_interval_validates():
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        log2_interval(Fraction(3), 0)
+    with pytest.raises(ValueError, match="^interval endpoints out of order$"):
+        log_of_interval(Fraction(4), Fraction(3), 2, "1e-6")
     with pytest.raises(ValueError):
         log_of_interval(Fraction(-1), Fraction(-1), 2, "1e-6")
     with pytest.raises(ValueError):

@@ -38,6 +38,25 @@ def test_ring_validation():
         QuotientRing(4, 3)
     with pytest.raises(ValueError):
         QuotientRing(2, 0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        QuotientRing(2, 3.5)
+
+
+def test_operator_validation():
+    r = ring24()
+    one, zero = r.one(), r.zero()
+    for rows, message in (((), "matrix must be nonempty"),
+                          (((one, zero), (zero,)), "matrix must be square"),
+                          (((one, zero),), "matrix must be square")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TwistedOperator(rows, 0)
+    with pytest.raises(ValueError, match="^twist degree must be >= 0$"):
+        TwistedOperator(((one,),), -1)
+    with pytest.raises(ValueError, match="^size must be >= 1$"):
+        identity_operator(r, 0)
+    # not an operator of degree 1.5
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        identity_operator(r, 2, 1.5)
 
 
 def test_arithmetic_truncates():
