@@ -25,7 +25,7 @@ print()
 print("=== digit-count tables: coefficients of (1 + t + ... + t^(p-1))^d ===")
 for p, d in [(2, 4), (3, 3), (5, 2)]:
     table = build_table(p, d)
-    print(f"p={p} d={d}: {list(table.coeffs)}  (sum = {p}^{d} = {sum(table.coeffs)})")
+    print(f"p={p} d={d}: {list(table)}  (sum = {p}^{d} = {sum(table)})")
 print()
 print("entry m counts the d-tuples of base-p digits summing to m; the")
 print("table is symmetric and vanishes outside [0, d(p-1)].")

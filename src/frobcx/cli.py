@@ -270,11 +270,11 @@ def _cmd_sequence(args) -> int:
 def _cmd_mdpoly(args) -> int:
     table = build_table(args.p, args.d)
     if args.format == "table":
-        print(f"# p={table.p} d={args.d} top_degree={table.top_degree}")
-        for m, c in enumerate(table.coeffs):
+        print(f"# p={args.p} d={args.d} top_degree={len(table) - 1}")
+        for m, c in enumerate(table):
             print(f"{m:>3} {c}")
     else:
-        print(json.dumps(list(table.coeffs)))
+        print(json.dumps(list(table)))
     return 0
 
 

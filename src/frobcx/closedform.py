@@ -61,7 +61,7 @@ def lower_bound(p: int, d: int, e: int) -> int:
     binomial comb(d-3+i, i) by one exact multiply/divide per step.
     Guarded by ``MAX_TERMS`` on the number of summands p^e.
     """
-    p = Prime(p)
+    p, d, e = Prime(p), index(d), index(e)  # 4.5 raises TypeError
     if d < 3:
         raise ValueError("the bound applies for d >= 3")
     if e < 2:
@@ -84,7 +84,7 @@ def lower_bound(p: int, d: int, e: int) -> int:
 
 def known_complexity_expression(p: int, d: int) -> str | None:
     """Closed-form expression for the complexity, where one is known."""
-    p = Prime(p)
+    p, d = Prime(p), index(d)
     if d == 3:
         if p == 2:
             return "log_2(3)"

@@ -197,16 +197,16 @@ def count_basis_carryvectors(
     if needed > max_carryvectors:
         raise GuardExceeded("carry-vector sum", needed, max_carryvectors)
 
-    md = build_table(p, d).coeff
+    md = dict(enumerate(build_table(p, d))).get
     total = 0
     for vec in product(range(1, d - 1), repeat=e - 1):
         prev = 0
         term = 1
         for dn in vec:
-            term *= md(p * dn - prev + p - 1)
+            term *= md(p * dn - prev + p - 1, 0)
             if term == 0:
                 break
             prev = dn
         else:
-            total += term * md(p - 1 - prev)
+            total += term * md(p - 1 - prev, 0)
     return total

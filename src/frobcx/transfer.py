@@ -112,7 +112,7 @@ def build_system(p: int, d: int) -> TransferSystem:
     n = d - 2
     # row i of [[M_d(p*i - j + p - 1)]], i, j = 0..n, is a reversed slice of
     # the table padded with zeros; x0 is column 0 and the weights row 0
-    pad = [0] * n + list(build_table(p, d).coeffs) + [0] * (p * n + p)
+    pad = [0] * n + list(build_table(p, d)) + [0] * (p * n + p)
     rows = [pad[p * i + p - 1 + n:p * i + p - 2:-1] for i in range(n + 1)]
     matrix = tuple(tuple(row[1:]) for row in rows[1:])
     return TransferSystem(p, d, matrix, tuple(row[0] for row in rows[1:]), tuple(rows[0][1:]))

@@ -19,13 +19,17 @@ which is only right when an output change is intended.
 The grid: ``mdpoly`` in both formats; ``sequence`` for every engine on
 small cells, each cell in one of the three formats in turn, leaving out
 cells that would enumerate more than 10^5 compositions (about 0.1 s each);
-``complexity`` and ``segre`` in both formats at four tolerances, and
-``complexity`` tables at tol 1e-100 and 1e-300 for d = 6..8, narrow enough
-for the most Newton steps, at 1e-15 and 1e-30 for (2, 24), at 1e-9 for
-(2, 30) and (2, 40), where the complexity's upper end is capped at d - 1,
-and at 1e-3 and 1e-9 for (3, 14): the ratio bounds decide (2, 24) at
-1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and give up at the other two,
-where Newton's method runs on a Krylov chi of degree 22 and 12;
+``sequence`` for the ``transfer`` and ``auto`` engines in all three formats
+at (p, d) = (2, 5), (3, 5) and (2, 12), with emax one below, at and one past
+the crossover T = n^2/4 + n + 8 of ``frobcx.transfer`` (n = d - 2), where
+the counts turn to chi's recurrence; ``complexity`` and ``segre`` in both
+formats at four tolerances, and ``complexity`` tables at tol 1e-100 and
+1e-300 for d = 6..8, narrow enough for the most Newton steps, at 1e-15 and
+1e-30 for (2, 24), at 1e-9 for (2, 30) and (2, 40), where the complexity's
+upper end is capped at d - 1, and at 1e-3 and 1e-9 for (3, 14): the ratio
+bounds decide (2, 24) at 1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and
+give up at the other two, where Newton's method runs on a Krylov chi of
+degree 22 and 12;
 ``verify`` in full, with an injected fault and with a tripping guard (a
 passing ``verify --quiet`` prints the last line of ``verify``;
 ``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
@@ -76,6 +80,12 @@ def grid():
                     if _enumerated(p, d, emax, engine) > ENUMERATION_LIMIT:
                         continue
                     fmt = ("table", "json", "csv")[(p + d + emax) % 3]
+                    cmds.append((["sequence", "--p", p, "--d", d, "--emax", emax,
+                                  "--engine", engine, "--format", fmt], {}))
+    for p, d, crossover in ((2, 5, 13), (3, 5, 13), (2, 12, 43)):  # T = n^2/4 + n + 8
+        for emax in (crossover - 1, crossover, crossover + 1):
+            for engine in ("transfer", "auto"):
+                for fmt in ("csv", "json", "table"):
                     cmds.append((["sequence", "--p", p, "--d", d, "--emax", emax,
                                   "--engine", engine, "--format", fmt], {}))
     for command in ("complexity", "segre"):

@@ -139,6 +139,9 @@ def test_lower_bound_guard_and_validation():
         lower_bound(2, 2, 3)
     with pytest.raises(ValueError):
         lower_bound(2, 4, 1)
+    for d, e in ((4.5, 3), (4.0, 3), (4, 3.0)):  # not 4.5 floored into the binomials
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            lower_bound(2, d, e)
 
 
 def test_leading_state_recursion():
@@ -160,6 +163,8 @@ def test_known_expressions():
     assert known_complexity_expression(2, 4) == "log_2(5 + sqrt(5))"
     assert known_complexity_expression(3, 4) is None
     assert known_complexity_expression(2, 5) is None
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        known_complexity_expression(2, 3.0)
 
 
 def oracle(p, d):

@@ -566,8 +566,8 @@ def test_char_poly_survives_a_wrong_modular_digit(monkeypatch):
 def _carries(p, d):
     # Holte's carries matrix: p^d times the chance that adding d base-p
     # digits to carry i leaves carry j, H[i][j] = sum_{r<p} M_d(pj + r - i)
-    m = build_table(p, d).coeff
-    return [[sum(m(p * j + r - i) for r in range(p)) for j in range(d)] for i in range(d)]
+    m = dict(enumerate(build_table(p, d))).get
+    return [[sum(m(p * j + r - i, 0) for r in range(p)) for j in range(d)] for i in range(d)]
 
 
 def _carries_chi(p, d):
