@@ -15,7 +15,7 @@ for p, d in [(2, 4), (3, 4), (2, 5)]:
     est = perron_interval(system.matrix, Fraction(1, 10**12))
     print(f"=== p={p}, d={d} ===")
     print(f"transfer matrix: {[list(r) for r in system.matrix]}")
-    print(f"char poly:       {char_poly(system.matrix)}")
+    print(f"char poly:       {char_poly(system.matrix)}  (coefficients, x^0 first)")
     print(f"radius interval: [{float(est.lo):.12f}, {float(est.hi):.12f}]"
           f"  ({est.iterations} iterations)")
     seq = sweep(p, d, 16)

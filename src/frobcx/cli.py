@@ -53,6 +53,8 @@ from .enumeration import (
     composition_count,
     count_basis_carryvectors,
     count_basis_enumeration,
+    guard_carryvectors,
+    guard_compositions,
 )
 from .errors import Stopped
 from .poincare import build_table
@@ -154,6 +156,8 @@ ENGINE_TERMS = {
         closed_form_d3(p, e) for e in range(1, emax + 1))),
 }
 ENGINES = ("auto", *ENGINE_TERMS)
+# engine -> its check of one level's guard, which sequence makes for every level
+LEVEL_GUARDS = {"enumerate": guard_compositions, "carry": guard_carryvectors}
 
 
 def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str:
@@ -174,9 +178,10 @@ def _resolve_engine(engine: str, p: Prime, d: int, emax: int, guard: int) -> str
 def _sequence_counts(args) -> tuple[str, Callable[[], Iterable]]:
     """The engine ``sequence`` runs for ``args``, and a function giving its counts.
 
-    A refusal or guard trip raises here, before any output.  transfer's
-    counts are a new sweep on each call, checked when it is called; the
-    other engines' are computed once, here, as a short list.
+    A refusal raises here, before any output, and a guard trip before any
+    level is counted.  transfer's counts are a new sweep on each call,
+    checked when it is called; the other engines' are computed once, here,
+    as a short list.
     """
     p = Prime(args.p)
     if args.d < 1:
@@ -185,6 +190,9 @@ def _sequence_counts(args) -> tuple[str, Callable[[], Iterable]]:
         raise ValueError("emax must be >= 0")
     guards = _guards(args)
     engine = _resolve_engine(args.engine, p, args.d, args.emax, guards["enumerate"])
+    if engine in LEVEL_GUARDS:
+        for e in range(1, args.emax + 1):
+            LEVEL_GUARDS[engine](p, args.d, e, guards[engine])
     counts = partial(ENGINE_TERMS[engine], p, args.d, args.emax, guards.get(engine))
     if engine != "transfer":
         terms = list(counts())

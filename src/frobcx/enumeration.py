@@ -53,6 +53,21 @@ def composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
+def guard_compositions(p: int, d: int, e: int, limit: int) -> int:
+    """Level e's compositions, or GuardExceeded past ``limit``; no p^e at d = 1."""
+    needed = 1 if d == 1 else composition_count(p**e - 1, d)
+    if needed > limit:
+        raise GuardExceeded("enumeration of compositions", needed, limit)
+    return needed
+
+
+def guard_carryvectors(p: int, d: int, e: int, limit: int) -> None:
+    """GuardExceeded if level e's carry vectors pass ``limit``."""
+    needed = max(d - 2, 0) ** (e - 1)
+    if needed > limit:
+        raise GuardExceeded("carry-vector sum", needed, limit)
+
+
 def is_basis_monomial(v: ExponentVector) -> bool:
     """Test the truncation inequalities for one exponent vector.
 
@@ -136,10 +151,7 @@ def count_basis_enumeration(
         raise ValueError("d must be >= 1")
     if e < 1:
         raise ValueError("e must be >= 1")
-    # d = 1 is settled before any power of p, which takes time linear in e
-    needed = 1 if d == 1 else composition_count(p**e - 1, d)
-    if needed > max_compositions:
-        raise GuardExceeded("enumeration of compositions", needed, max_compositions)
+    needed = guard_compositions(p, d, e, max_compositions)
 
     if e == 1:
         # no interior truncation levels: every composition qualifies
@@ -193,9 +205,7 @@ def count_basis_carryvectors(
         raise ValueError("d must be >= 1")
     if e < 1:
         raise ValueError("e must be >= 1")
-    needed = max(d - 2, 0) ** (e - 1)
-    if needed > max_carryvectors:
-        raise GuardExceeded("carry-vector sum", needed, max_carryvectors)
+    guard_carryvectors(p, d, e, max_carryvectors)
 
     md = dict(enumerate(build_table(p, d))).get
     total = 0

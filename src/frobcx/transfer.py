@@ -54,10 +54,10 @@ The sweep runs on ints for library callers and on exact decimals for the
 CLI: CPython's int-to-str conversion takes time quadratic in the digit
 count, while a Decimal, stored in base-10^19 limbs, prints in linear time
 and to the same string.  ``char_poly`` lives here, next to the recurrence
-that needs it; ``spectral`` re-exports it.  The package does not export
-the four names at the end, ``state`` (binary powering of U), ``_mul``,
-``complexity_sequence`` and ``ComplexityReport``: no count path calls
-them, but the benchmark does.  Its tests call ``state``; it wraps
+that reads its coefficient tuple; ``spectral`` re-exports it.  The package
+does not export the four names at the end, ``state`` (binary powering of
+U), ``_mul``, ``complexity_sequence`` and ``ComplexityReport``: no count
+path calls them, but the benchmark does.  Its tests call ``state``; it wraps
 ``complexity_sequence`` and reads only the report's one field, ``c``.
 """
 
@@ -122,29 +122,6 @@ def _apply(matrix: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, x)) for row in matrix]
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic integer polynomial; coeffs[k] multiplies x^k."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            term = "x" if k == 1 else f"x^{k}" if k else ""
-            mag = abs(c)
-            body = term if mag == 1 and k else f"{mag}{'*' + term if term else ''}"
-            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
-        return " ".join(parts) if parts else "0"
-
-
 def _validate_matrix(matrix) -> Matrix:
     rows = tuple(tuple(map(index, row)) for row in matrix)  # no truncation: 2.5 raises TypeError
     n = len(rows)
@@ -160,8 +137,10 @@ _Q = (1 << 62) - 57
 _KRYLOV_MIN = 12  # the first n where the Krylov solve won every timing, for p = 2, 3, 5
 
 
-def char_poly(matrix) -> CharPoly:
-    """Characteristic polynomial det(xI - U), exactly.
+def char_poly(matrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - U), exactly, as its coefficients.
+
+    The tuple has length n + 1, x^0's coefficient first, and ends in 1.
 
     From dimension n = 12 on, from a Krylov basis by p-adic lifting (Dixon,
     1982).  With v = (1, ..., 1) and K = [v | Uv | ... | U^(n-1) v],
@@ -183,7 +162,7 @@ def char_poly(matrix) -> CharPoly:
     """
     rows = _validate_matrix(matrix)
     coeffs = _krylov_chi(rows) if len(rows) >= _KRYLOV_MIN else None
-    return CharPoly(_berkowitz(rows) if coeffs is None else coeffs)
+    return _berkowitz(rows) if coeffs is None else coeffs
 
 
 def _krylov_chi(rows: Matrix) -> tuple[int, ...] | None:
@@ -320,7 +299,7 @@ def complexity_term(p: int, d: int, e: int) -> int:
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
     system = build_system(p, d)
     c = list(iter_counts(p, d, 2 * n + 1, system))[2:]  # c_2..c_{2n+1}, by the matrix
-    return _hankel_finish(c, char_poly(system.matrix).coeffs, e - 2, (0,))[0]
+    return _hankel_finish(c, char_poly(system.matrix), e - 2, (0,))[0]
 
 
 def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
@@ -339,7 +318,7 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
         return c[-1], sum(c)
     system = build_system(p, d)
     k = list(accumulate(iter_counts(p, d, 2 * n + 3, system)))[1:]  # k_1..k_{2n+3}, by the matrix
-    chi = char_poly(system.matrix).coeffs
+    chi = char_poly(system.matrix)
     # (t - 1) chi has coefficient a_{m-1} - a_m at t^m
     before, k_e = _hankel_finish(k, tuple(map(sub, (0, *chi), (*chi, 0))), e - 2, (0, 1))
     return k_e - before, k_e
@@ -394,7 +373,7 @@ def _counts(p: Prime, d: int, emax: int, system: TransferSystem | None, number) 
         yield recent[-1]
     if last < emax:
         # c_e = sum b_k c_{e-n+k}; zero b_k are kept, so that map runs it in C
-        b = [number(v) for v in _recurrence(char_poly(system.matrix).coeffs)]
+        b = [number(v) for v in _recurrence(char_poly(system.matrix))]
         for _ in range(n + 2, emax + 1):
             recent.append(sum(map(mul, b, recent)))
             yield recent[-1]

@@ -118,7 +118,7 @@ def test_criterion_4_char2_four_variables():
         system = build_system(2, 4)
         assert system.matrix == ((6, 4), (1, 4))
         assert system.x0 == (4, 0)
-        assert char_poly(system.matrix).coeffs == (20, -10, 1)
+        assert char_poly(system.matrix) == (20, -10, 1)
 
         est = perron_interval(system.matrix, tol)
         # radius within 1e-9 of 5 + sqrt(5), compared exactly

@@ -224,6 +224,28 @@ def test_guard_exit_2(capsys):
     assert "guard exceeded" in err
 
 
+@pytest.mark.parametrize("engine, flag, counter, message", [
+    ("carry", "--max-carryvectors", "count_basis_carryvectors",
+     "carry-vector sum: 4096 iterations needed, guard is 1024"),
+    ("enumerate", "--max-compositions", "count_basis_enumeration",
+     "enumeration of compositions: 15504 iterations needed, guard is 1024"),
+])
+def test_sequence_checks_every_level_guard_before_it_counts_any(
+        capsys, monkeypatch, engine, flag, counter, message):
+    # level 7 trips carry's guard and level 4 enumerate's: the stop is the
+    # engine's own, and it comes before levels 1..6 or 1..3 are counted
+    counted, engine_count = [], getattr(cli, counter)
+
+    def count(p, d, e, **guard):
+        counted.append(e)
+        return engine_count(p, d, e, **guard)
+
+    monkeypatch.setattr(cli, counter, count)
+    assert run(capsys, "sequence", "--p", "2", "--d", "6", "--emax", "8", "--engine", engine,
+               flag, "1024") == (2, "", f"guard exceeded: {message}\n")
+    assert counted == []
+
+
 def test_guard_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FROBCX_MAX_COMPOSITIONS", "10")
     code, _, err = run(

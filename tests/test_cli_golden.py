@@ -29,7 +29,9 @@ formats at four tolerances, and ``complexity`` tables at tol 1e-100 and
 upper end is capped at d - 1, and at 1e-3 and 1e-9 for (3, 14): the ratio
 bounds decide (2, 24) at 1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and
 give up at the other two, where Newton's method runs on a Krylov chi of
-degree 22 and 12;
+degree 22 and 12; ``complexity`` tables at 1e-9 and 1e-30 for (2, 20) and
+(5, 14), and ``segre`` tables at 1e-30 for (2, 14) and (3, 14), five of
+which run Newton's method on a Krylov chi of degree 18 or 12;
 ``verify`` in full, with an injected fault and with a tripping guard (a
 passing ``verify --quiet`` prints the last line of ``verify``;
 ``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
@@ -100,6 +102,12 @@ def grid():
         for tol in tols:  # narrow enough for the most Newton steps, or wide matrices
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
+    for p, d in ((2, 20), (5, 14)):  # chi from the Krylov solve, degree 18 and 12
+        for tol in ("1e-9", "1e-30"):
+            cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
+                          "--format", "table"], {}))
+    for p, d in ((2, 14), (3, 14)):
+        cmds.append((["segre", "--p", p, "--d", d, "--tol", "1e-30", "--format", "table"], {}))
     cmds += [
         (["verify"], {}),
         (["verify", "--inject-fault"], {}),
@@ -259,8 +267,9 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
                 assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
                 checked += 1
     # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in
-    # json; then 12 narrow or wide complexity tables of 2 intervals each
-    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 12 * 2
+    # json; then 16 narrow or wide complexity tables and 2 segre tables, of 2
+    # intervals each
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 16 * 2 + 2 * 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Each ``frobcx ...`` line of README's ``sh`` blocks exits 0, and the ``# ``
 lines right under it appear in its stdout in that order; a ``# ...`` line
 stands for lines left out.  The Python example's first printed line is the
 comment beside its first ``print``.  ``frobcx.__all__`` holds the names that
-README and the demos import from ``frobcx``, plus ``Prime``,
-``GuardExceeded`` and ``CharPoly``.
+README and the demos import from ``frobcx``, plus ``Prime``
+and ``GuardExceeded``.
 
 Run as a script, ``python tests/test_readme.py`` makes the same checks of
 the examples through the installed ``frobcx`` command and interpreter.
@@ -93,7 +93,7 @@ def test_all_holds_the_names_that_readme_and_the_demos_import():
                 if isinstance(node, ast.ImportFrom) and node.module == "frobcx"
                 for alias in node.names}
     assert all(hasattr(frobcx, name) for name in frobcx.__all__)
-    assert set(frobcx.__all__) == imported | {"Prime", "GuardExceeded", "CharPoly"}
+    assert set(frobcx.__all__) == imported | {"Prime", "GuardExceeded"}
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from frobcx.spectral import (
     log_of_interval,
     perron_interval,
 )
-from frobcx.transfer import CharPoly, build_system
+from frobcx.transfer import build_system
+from strategies import digit_count
 
 mpmath.mp.dps = 50
 
@@ -26,7 +27,7 @@ def horner(poly, x):
     # the polynomial's value at x by Horner's rule: the reference for
     # spectral._scaled_value and sign_change below
     out = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         out = out * x + c
     return out
 
@@ -37,7 +38,7 @@ def sign_change(matrix, est, tol):
     # isolated real root; None when no cycle runs through the matrix, whose
     # radius is then 0
     poly = char_poly(matrix)
-    if not any(poly.coeffs[:-1]):
+    if not any(poly[:-1]):
         return None
     return horner(poly, est.lo - tol) < 0 < horner(poly, est.hi + tol)
 
@@ -48,13 +49,11 @@ def refuse_chi(rows):
 
 def test_char_poly_frozen_examples():
     cp = char_poly([[6, 4], [1, 4]])
-    assert cp.coeffs == (20, -10, 1)
-    assert str(cp) == "x^2 - 10*x + 20"
+    assert cp == (20, -10, 1)
     assert horner(cp, 0) == 20 and horner(cp, 10) == 20
-    assert char_poly([[5]]).coeffs == (-5, 1)
-    assert char_poly([[0, 0], [0, 0]]).coeffs == (0, 0, 1)
-    assert char_poly([[1, 2], [3, 4]]).coeffs == (-2, -5, 1)
-    assert str(char_poly([[0, 1], [1, 0]])) == "x^2 - 1"  # the zero x term is left out
+    assert char_poly([[5]]) == (-5, 1)
+    assert char_poly([[0, 0], [0, 0]]) == (0, 0, 1)
+    assert char_poly([[1, 2], [3, 4]]) == (-2, -5, 1)
 
 
 def test_char_poly_rejects_nonsquare():
@@ -224,7 +223,7 @@ def test_newton_step_brackets_the_radius(matrix, above):
     # delta = chi(t) / chi'(t) has rho in [t - n delta, t - delta]
     n, t = len(matrix), start(matrix) + above
     poly = char_poly(matrix)
-    delta = horner(poly, t) / sum(k * c * t ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
+    delta = horner(poly, t) / sum(k * c * t ** (k - 1) for k, c in enumerate(poly) if k)
     radius, slack = reference_radius(matrix), mpmath.mpf("1e-6")  # eps^(1/n), as below
     lo, hi = t - n * delta, t - delta
     assert 0 < delta <= t
@@ -283,7 +282,7 @@ def fraction_newton(coeffs, top, tn, td):
 @example([[7]], 1)  # chi(top) = 0: a point in one step
 def test_integer_newton_equals_the_fraction_loop(matrix, k):
     # the same lo, hi and steps from the same start, at tol 2^-k
-    coeffs = char_poly(matrix).coeffs
+    coeffs = char_poly(matrix)
     assume(any(coeffs[:-1]))  # chi = x^n never reaches _newton
     top = start(matrix)
     assert spectral._newton(coeffs, top, 1, 1 << k) == fraction_newton(coeffs, top, 1, 1 << k)
@@ -318,7 +317,7 @@ def test_collatz_wielandt_bounds_meet_the_newton_enclosure(matrix, k):
         return
     assert est.converged and est.width <= Fraction(1, 1 << k)
     assert est.hi <= max(map(sum, zip(*matrix)))
-    lo, hi, _ = spectral._newton(char_poly(matrix).coeffs, start(matrix), 1, 1 << 200)
+    lo, hi, _ = spectral._newton(char_poly(matrix), start(matrix), 1, 1 << 200)
     assert est.lo <= hi and lo <= est.hi
 
 
@@ -399,14 +398,14 @@ def sized_integers(max_bits):
 def test_scaled_value_has_the_sign_of_the_fraction_value(low, a, b):
     # perron_interval's Newton step, against Horner's rule
     # on the Fraction
-    poly = CharPoly((*low, 1))
+    poly = (*low, 1)
     x = Fraction(a, b)
     value = horner(poly, x)
-    slope = sum(k * c * x ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
-    scaled, scaled_slope = spectral._scaled_value(poly.coeffs, a, b)
+    slope = sum(k * c * x ** (k - 1) for k, c in enumerate(poly) if k)
+    scaled, scaled_slope = spectral._scaled_value(poly, a, b)
     assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0)
-    assert scaled == value * b**poly.degree
-    assert scaled_slope * b == slope * b**poly.degree
+    assert scaled == value * b ** (len(poly) - 1)
+    assert scaled_slope * b == slope * b ** (len(poly) - 1)
 
 
 def positive_integers(max_bits):
@@ -440,7 +439,7 @@ def test_char_poly_satisfies_cayley_hamilton(matrix):
                 for i in range(n)]
 
     value = [[0] * n for _ in range(n)]
-    for c in reversed(char_poly(matrix).coeffs):
+    for c in reversed(char_poly(matrix)):
         value = mul(value, matrix)
         for i in range(n):
             value[i][i] += c
@@ -766,13 +765,77 @@ def test_growth_rate_is_the_spectral_radius():
             assert min(vector) >= 0 and any(vector), (p, d)
 
 
+def _bareiss_det(rows):
+    # the determinant of an integer matrix by fraction-free elimination: each
+    # division is exact (Bareiss 1968)
+    a, sign, last = [list(row) for row in rows], 1, 1
+    n = len(a)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // last
+        last = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _scaled_chi_at_the_limit(p, d):
+    # g_d(p) = ((d-1)!)^n chi(alpha_d p^(d-1)), alpha_d = 1 - 1/(d-1)!: the
+    # determinant of ((d-1)! - 1) p^(d-1) I - (d-1)! U(p), U(p)[i][j] =
+    # M_d(p*i - j + p - 1), i, j = 1..d-2, the entries build_system's matrix
+    # has in test_transfer.py
+    f, n = factorial(d - 1), d - 2
+    return _bareiss_det([[(f - 1) * p ** (d - 1) * (i == j)
+                          - f * digit_count(p, d, p * i - j + p - 1)
+                          for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def test_radius_lies_above_its_large_p_limit_for_every_prime():
+    # the lower end alpha_d p^(d-1) < rho, proved for every prime p at
+    # d = 3..12.  chi is monic, so g_d(p) < 0 puts a real root, and so rho,
+    # above alpha_d p^(d-1).  For p >= d - 1 each entry of (d-1)! U(p) is an
+    # integer polynomial in p of degree d - 1 (every M_d term has m - kp >=
+    # 0 or none), so g_d is one of degree at most N = n(d - 1).  Interpolated
+    # in s = p - (d - 1) through s = 0..N by forward differences, and checked
+    # at s = N + 1 and N + 2, it has every coefficient in s negative but the
+    # zero one of s^N, so g_d < 0 for every real p >= d - 1.  The primes
+    # below d - 1 are checked one by one.  Nothing here calls build_table,
+    # build_system or char_poly
+    for d in range(3, 13):
+        n, base = d - 2, d - 1
+        deg = n * (d - 1)
+        values = [_scaled_chi_at_the_limit(base + s, d) for s in range(deg + 3)]
+        diffs, row = [], values[:deg + 1]
+        while row:  # diffs[k] = (Delta^k g)(0)
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        # N! g(s) = sum_k diffs[k] N!/k! s(s-1)...(s-k+1), by Horner from the top
+        scaled = [diffs[deg]]
+        for k in range(deg - 1, -1, -1):
+            scaled = [u - k * v for u, v in zip([0, *scaled], [*scaled, 0])]
+            scaled[0] += diffs[k] * factorial(deg) // factorial(k)
+        coeffs = [c // factorial(deg) for c in scaled]
+        assert [c * factorial(deg) for c in coeffs] == scaled, d  # integer coefficients
+        for s in (deg + 1, deg + 2):
+            assert sum(c * s**k for k, c in enumerate(coeffs)) == values[s], (d, s)
+        # s^N's is 0: U's leading term in p has rank one and eigenvalue alpha_d
+        assert coeffs[-1] == 0 and all(c < 0 for c in coeffs[:-1]), d
+        for p in (2, 3, 5, 7):  # the primes below d - 1 <= 11
+            if p < base:
+                assert _scaled_chi_at_the_limit(p, d) < 0, (p, d)
+
+
 def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():
     # as p grows, U / p^(d-1) tends to a rank-one matrix of eigenvalue
     # alpha_d = 1 - 1/(d-1)!, and rho / p^(d-1) falls towards alpha_d.  The
     # upper end is proved: column j of U sums to p^(d-1) - M_d(p - 1 - j),
     # less at j = 1, and U is irreducible.  The lower end, alpha_d p^(d-1)
-    # < rho, is observed on this grid, not proved.  The width is far below
-    # the least gap, about 2e-14 p^(d-1) at (13, 12)
+    # < rho, is proved for d = 3..12, this grid's d, by the test above.  The
+    # width is far below the least gap, about 2e-14 p^(d-1) at (13, 12)
     for p in (2, 3, 5, 7, 11, 13, 101):
         for d in range(3, 13 if p < 101 else 9):
             top = p ** (d - 1)
@@ -783,7 +846,7 @@ def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():
 
 def test_complexity_lies_between_its_large_p_limit_and_d_minus_1():
     # the radius bounds above through log_p: d - 1 + log_p alpha_d < lo and
-    # hi < d - 1, the lower end observed, not proved.  The least lower margin
+    # hi < d - 1, both proved for this grid's d.  The least lower margin
     # on this grid is about 7e-15, so tol is far below it
     for p in (2, 3, 5, 7, 11, 13, 101):
         for d in range(3, 13 if p < 101 else 9):
