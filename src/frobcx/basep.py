@@ -10,7 +10,7 @@ base p.  This module provides those primitives exactly, on plain ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from operator import index
 
@@ -58,29 +58,23 @@ def digits(a: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(namedtuple("ExponentVector", "a p e")):
     """Exponents (a_1, ..., a_d) of a monomial of degree p^e - 1."""
 
-    a: tuple[int, ...]
-    p: Prime
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        object.__setattr__(self, "a", tuple(map(index, self.a)))  # no truncation of 1.9
-        object.__setattr__(self, "e", index(self.e))
-        if self.e < 1:
+    def __new__(cls, a, p: int, e: int) -> "ExponentVector":
+        p, a, e = Prime(p), tuple(map(index, a)), index(e)  # no truncation of 1.9
+        if e < 1:
             raise ValueError("e must be >= 1")
-        if not self.a:
+        if not a:
             raise ValueError("need at least one exponent")
-        if any(x < 0 for x in self.a):
+        if any(x < 0 for x in a):
             raise ValueError("exponents must be nonnegative")
-        need = self.p**self.e - 1
-        if sum(self.a) != need:
-            raise ValueError(
-                f"exponents sum to {sum(self.a)}, degree p^e - 1 = {need} required"
-            )
+        need = p**e - 1
+        if sum(a) != need:
+            raise ValueError(f"exponents sum to {sum(a)}, degree p^e - 1 = {need} required")
+        return super().__new__(cls, a, p, e)
 
     @property
     def d(self) -> int:

@@ -34,12 +34,11 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
+from collections.abc import Callable, Iterable, Iterator
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, islice, tee
-from typing import Callable, Iterable, Iterator
 
 from .basep import Prime
 from .closedform import (
@@ -334,8 +333,8 @@ def _cmd_segre(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def _faulted(system: TransferSystem) -> TransferSystem:
-    (u, *row), *rows = system.matrix  # U[0][0] + 1
-    return replace(system, matrix=((u + 1, *row), *rows))
+    p, d, ((u, *row), *rows), x0, weights = system  # U[0][0] + 1
+    return TransferSystem(p, d, ((u + 1, *row), *rows), x0, weights)
 
 
 def _cmd_verify(args) -> int:

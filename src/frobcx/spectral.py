@@ -64,7 +64,7 @@ conditions at run time, and tests/test_spectral.py's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -84,18 +84,16 @@ def _as_fraction(value) -> Fraction:  # the one parser of tol, the CLI's too
     return out
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """A closed interval with exact rational endpoints."""
+class _Interval:
+    """The interval types' shared part: exact rational ends, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+    def __new__(cls, lo, hi, *args, **kwargs):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        return super().__new__(cls, lo, hi, *args, **kwargs)
 
     @property
     def width(self) -> Fraction:
@@ -105,8 +103,14 @@ class RationalInterval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class SpectralEstimate(RationalInterval):
+class RationalInterval(_Interval, namedtuple("RationalInterval", "lo hi")):
+    """A closed interval with exact rational endpoints."""
+
+    __slots__ = ()
+
+
+class SpectralEstimate(_Interval, namedtuple("SpectralEstimate", "lo hi iterations converged",
+                                             defaults=(0, True))):
     """Certified enclosure of a spectral radius.
 
     ``iterations`` counts the Collatz-Wielandt steps when they decide, and
@@ -115,8 +119,7 @@ class SpectralEstimate(RationalInterval):
     either way.
     """
 
-    iterations: int = 0
-    converged: bool = True
+    __slots__ = ()
 
 
 def perron_interval(matrix, tol) -> SpectralEstimate:
@@ -303,11 +306,10 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
                             ahi / blo if ahi >= 0 else ahi / bhi)
 
 
-@dataclass(frozen=True)
-class ComplexityInterval(RationalInterval):
+class ComplexityInterval(_Interval, namedtuple("ComplexityInterval", "lo hi radius")):
     """Certified complexity interval, with the radius enclosure it came from."""
 
-    radius: SpectralEstimate
+    __slots__ = ()
 
 
 def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:

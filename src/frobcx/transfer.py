@@ -63,9 +63,8 @@ path calls them, but the benchmark does.  Its tests call ``state``; it wraps
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import index, mul, sub
@@ -76,29 +75,26 @@ from .poincare import build_table
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class TransferSystem:
+class TransferSystem(namedtuple("TransferSystem", "p d matrix x0 weights")):
     """Matrix U, seed census x0 and top-level weights for one (p, d)."""
 
-    p: Prime
-    d: int
-    matrix: Matrix
-    x0: tuple[int, ...]
-    weights: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, p: int, d: int, matrix: Matrix, x0: tuple[int, ...],
+                weights: tuple[int, ...]) -> "TransferSystem":
+        p, d = Prime(p), index(d)  # 4.0 raises TypeError
+        n = d - 2
+        if n < 1:
+            raise ValueError("transfer systems exist for d >= 3 only")
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError("matrix must be (d-2) x (d-2)")
+        if len(x0) != n or len(weights) != n:
+            raise ValueError("x0 and weights must have length d-2")
+        return super().__new__(cls, p, d, matrix, x0, weights)
 
     @property
     def dim(self) -> int:
         return self.d - 2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        n = self.dim
-        if n < 1:
-            raise ValueError("transfer systems exist for d >= 3 only")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix must be (d-2) x (d-2)")
-        if len(self.x0) != n or len(self.weights) != n:
-            raise ValueError("x0 and weights must have length d-2")
 
 
 def build_system(p: int, d: int) -> TransferSystem:
@@ -411,11 +407,10 @@ def state(system: TransferSystem, e: int) -> tuple[int, ...]:
 
 
 # not exported; perfbench/spans.py wraps complexity_sequence by name and reads .c
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(namedtuple("ComplexityReport", "c")):
     """The counts c_0..c_emax, as ``complexity_sequence`` returns them."""
 
-    c: tuple[int, ...]
+    __slots__ = ()
 
 
 def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:

@@ -20,24 +20,22 @@ products (q = 1), powers and compositions all go through it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .basep import Prime
 
 
-@dataclass(frozen=True)
-class QuotientRing:
+class QuotientRing(namedtuple("QuotientRing", "p n")):
     """F_p[x] / (x^n), coefficients stored little-endian mod p."""
 
-    p: Prime
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Prime(self.p))
-        object.__setattr__(self, "n", index(self.n))  # 3.5 raises TypeError
-        if self.n < 1:
+    def __new__(cls, p: int, n: int) -> "QuotientRing":
+        p, n = Prime(p), index(n)  # 3.5 raises TypeError
+        if n < 1:
             raise ValueError("truncation order must be >= 1")
+        return super().__new__(cls, p, n)
 
     def element(self, coeffs) -> "QElem":
         """Quotient-map an integer coefficient list: reduce mod p, drop x^n on."""
@@ -58,18 +56,17 @@ class QuotientRing:
         return QElem(self, tuple(rng.randrange(self.p) for _ in range(self.n)))
 
 
-@dataclass(frozen=True)
-class QElem:
+class QElem(namedtuple("QElem", "ring coeffs")):
     """An element of a QuotientRing; arithmetic stays in the ring."""
 
-    ring: QuotientRing
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ring.n:
+    def __new__(cls, ring: QuotientRing, coeffs: tuple[int, ...]) -> "QElem":
+        if len(coeffs) != ring.n:
             raise ValueError("coefficient vector must have length n")
-        if min(self.coeffs) < 0 or max(self.coeffs) >= self.ring.p:
+        if min(coeffs) < 0 or max(coeffs) >= ring.p:
             raise ValueError("coefficients must be reduced mod p")
+        return super().__new__(cls, ring, coeffs)
 
     def _check_ring(self, other: "QElem") -> None:
         if self.ring != other.ring:
@@ -86,6 +83,8 @@ class QElem:
     def __mul__(self, other: "QElem") -> "QElem":
         self._check_ring(other)
         return _product((self,), (other,), 1)
+
+    __rmul__ = None  # 2 * x raises TypeError, where the tuple's would repeat it
 
     def frobenius(self, e: int) -> "QElem":
         """The p^e-th power: coefficient i moves to position i * p^e."""
@@ -151,18 +150,16 @@ def _product(row, col, q: int) -> QElem:
     return QElem(ring, tuple([c % ring.p for c in acc]))
 
 
-@dataclass(frozen=True)
-class TwistedOperator:
+class TwistedOperator(namedtuple("TwistedOperator", "rows degree")):
     """A matrix together with its twist degree."""
 
-    rows: QMatrix
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _as_matrix(self.rows))
-        object.__setattr__(self, "degree", index(self.degree))  # 1.5 raises TypeError
-        if self.degree < 0:
+    def __new__(cls, rows: QMatrix, degree: int) -> "TwistedOperator":
+        rows, degree = _as_matrix(rows), index(degree)  # 1.5 raises TypeError
+        if degree < 0:
             raise ValueError("twist degree must be >= 0")
+        return super().__new__(cls, rows, degree)
 
     @property
     def ring(self) -> QuotientRing:

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -282,7 +281,7 @@ def test_uncertified_growth_rate_exits_2(capsys, monkeypatch):
     # with a zero seed census every count past c_1 is 0, and rho is no growth
     # rate: refused on stderr, naming the failed condition, nothing printed
     monkeypatch.setattr(spectral, "build_system",
-                        lambda p, d: replace(build_system(p, d), x0=(0,) * (d - 2)))
+                        lambda p, d: build_system(p, d)._replace(x0=(0,) * (d - 2)))
     for command in ("complexity", "segre"):
         assert run(capsys, command, "--p", "2", "--d", "6") == (2, "", (
             "not certified: the growth rate is the spectral radius only if "
@@ -402,7 +401,7 @@ def test_twisted_demo_fails_when_a_factorization_does_not_hold(capsys, monkeypat
     def bumped(f, g):
         calls.append(None)
         h = compose(f, g)
-        return replace(h, degree=h.degree + 1) if len(calls) >= broken else h
+        return h._replace(degree=h.degree + 1) if len(calls) >= broken else h
 
     monkeypatch.setattr(twistedop, "compose", bumped)
     code, out, _ = run(capsys, "twisted", "demo")
@@ -453,6 +452,18 @@ def test_p_and_d_are_required(capsys, command):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # every frobcx call is a fresh process that imports the CLI and builds its
+    # parser first; dataclasses alone, with the inspect it loads, took about a
+    # quarter of that.  -S keeps site hooks, which may load typing, out
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, frobcx.cli; frobcx.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_decimal_rendering():

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -731,7 +730,7 @@ BAND = "every entry of the transfer matrix on or beside its diagonal is positive
 def test_frobenius_complexity_refuses_an_uncertified_growth_rate(monkeypatch, change, condition):
     def changed(p, d):
         system = build_system(p, d)
-        return replace(system, **change(system))
+        return system._replace(**change(system))
 
     monkeypatch.setattr(spectral, "build_system", changed)
     with pytest.raises(NotCertified, match=f"spectral radius only if {condition}$"):

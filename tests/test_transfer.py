@@ -69,6 +69,14 @@ def test_transfer_system_validates_shapes():
             TransferSystem(*args)
 
 
+def test_transfer_system_refuses_a_non_integral_d():
+    # d = 4.0 is not taken as 4, which left dim = 2.0 for the count recursion
+    # to trip over, and d = 3.5 is refused for its type, not its matrix's shape
+    for d, n in ((4.0, 2), (3.5, 1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TransferSystem(2, d, ((1,) * n,) * n, (1,) * n, (1,) * n)
+
+
 def test_build_system_entries_by_inclusion_exclusion():
     # every entry of U, x0 and the weights is one M_d(p*i - j + p - 1),
     # i, j = 0..d-2: U takes i, j >= 1, x0 j = 0 and the weights i = 0

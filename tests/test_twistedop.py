@@ -97,6 +97,13 @@ def test_mixed_ring_arithmetic_rejected():
         a * b
 
 
+def test_an_integer_times_an_element_is_refused():
+    # an element is a named tuple, and a tuple's 2 * a would be (ring, coeffs)
+    # twice over, not a ring element
+    with pytest.raises(TypeError):
+        2 * ring24().gen()
+
+
 def test_frobenius_spreads_coefficients():
     r = QuotientRing(2, 8)
     f = r.element([1, 1, 1])  # 1 + x + x^2
