@@ -37,6 +37,7 @@ from collections.abc import Callable
 from functools import partial
 from itertools import cycle, product, repeat
 from math import comb
+from operator import index
 
 from .basep import ExponentVector, Prime
 from .errors import GuardExceeded
@@ -146,7 +147,7 @@ def count_basis_enumeration(
     state, plus O(e^2) per distinct sums; the number of compositions
     bounds the states.
     """
-    p = Prime(p)
+    p, d, e = Prime(p), index(d), index(e)  # 2.5 raises TypeError
     if d < 1:
         raise ValueError("d must be >= 1")
     if e < 1:
@@ -200,7 +201,7 @@ def count_basis_carryvectors(
     is empty and the sum is 0.  Cost is max(d-2, 0)^(e-1) products of e
     table lookups, guarded by ``max_carryvectors``.
     """
-    p = Prime(p)
+    p, d, e = Prime(p), index(d), index(e)  # 2.5 raises TypeError
     if d < 1:
         raise ValueError("d must be >= 1")
     if e < 1:

@@ -55,9 +55,9 @@ CLI: CPython's int-to-str conversion takes time quadratic in the digit
 count, while a Decimal, stored in base-10^19 limbs, prints in linear time
 and to the same string.  ``char_poly`` lives here, next to the recurrence
 that reads its coefficient tuple; ``spectral`` re-exports it.  The package
-does not export the four names at the end, ``state`` (binary powering of
-U), ``_mul``, ``complexity_sequence`` and ``ComplexityReport``: no count
-path calls them, but the benchmark does.  Its tests call ``state``; it wraps
+does not export the three names at the end, ``state`` (U^e x0 by e steps
+of U), ``complexity_sequence`` and ``ComplexityReport``: no count path calls
+them, but the benchmark does.  Its tests call ``state``; it wraps
 ``complexity_sequence`` and reads only the report's one field, ``c``.
 """
 
@@ -234,13 +234,6 @@ def _berkowitz(rows: Matrix) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-def _recurrence(coeffs: Sequence[int]) -> list[int]:
-    # b_0..b_{n-1} with t^n = sum b_k t^k modulo the monic polynomial of
-    # degree n whose coefficients, low first, are given.  For chi,
-    # U^n = sum b_k U^k by Cayley-Hamilton, so c_{e+n} = sum b_k c_{e+k}
-    return [-a for a in coeffs[:-1]]
-
-
 def _power_of_t(j: int, recurrence: list[int]) -> list[int]:
     # t^j mod the polynomial of the recurrence, low coefficient first, by
     # square-and-multiply from the top bit of j; t^n = sum b_k t^k reduces
@@ -277,8 +270,9 @@ def _hankel_finish(
 ) -> list[int]:
     # s_{j+a} for each shift a, s obeying the recurrence of the monic polynomial
     # of degree n whose coefficients, low first, are given, from s_0..s_{2n-1+a}:
-    # s_{j+a} = q H_a q for q = t^(j // 2) mod it, H_a[i][k] = s_{i+k+j%2+a}
-    q = _power_of_t(j // 2, _recurrence(coeffs))
+    # s_{j+a} = q H_a q for q = t^(j // 2) mod it, H_a[i][k] = s_{i+k+j%2+a};
+    # modulo it t^n = sum b_k t^k with b_k = -a_k
+    q = _power_of_t(j // 2, [-a for a in coeffs[:-1]])
     return [sum(u * sum(map(mul, s[i + j % 2 + a:], q)) for i, u in enumerate(q)) for a in shifts]
 
 
@@ -288,6 +282,7 @@ def complexity_term(p: int, d: int, e: int) -> int:
     Below the crossover rule, the last count of ``sweep(p, d, e)`` (to e <= 2
     for d <= 2, whose later counts are 0); from it on, Fiduccia's method.
     """
+    d, e = index(d), index(e)  # 2.5 raises TypeError; p is checked where it is used
     if e < 0:
         raise ValueError("e must be >= 0")
     n = d - 2
@@ -306,6 +301,7 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
     k_1 on (module docstring): one Hankel finish gives k_{e-1} and k_e, and
     c_e is their difference.
     """
+    d, e = index(d), index(e)  # 2.5 raises TypeError; p is checked where it is used
     if e < 0:
         raise ValueError("e must be >= 0")
     n = d - 2
@@ -368,8 +364,9 @@ def _counts(p: Prime, d: int, emax: int, system: TransferSystem | None, number) 
         recent.append(sum(map(mul, system.weights, x)))
         yield recent[-1]
     if last < emax:
+        # U^n = sum b_k U^k, b_k = -a_k for chi's a_k, by Cayley-Hamilton, so
         # c_e = sum b_k c_{e-n+k}; zero b_k are kept, so that map runs it in C
-        b = [number(v) for v in _recurrence(char_poly(system.matrix))]
+        b = [number(-a) for a in char_poly(system.matrix)[:-1]]
         for _ in range(n + 2, emax + 1):
             recent.append(sum(map(mul, b, recent)))
             yield recent[-1]
@@ -380,37 +377,19 @@ def sweep(p: int, d: int, emax: int) -> list[int]:
     return list(iter_counts(p, d, emax))
 
 
-# not exported; kept for state, which perfbench/tests/test_checker.py calls
-def _mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    columns = tuple(zip(*b))
-    return [_apply(columns, row) for row in a]
-
-
 # not exported; perfbench/tests/test_checker.py calls transfer.state
 def state(system: TransferSystem, e: int) -> tuple[int, ...]:
-    """The census vector U^e x0, by binary powering of U.
-
-    Bits of e are read from the lowest: x takes a factor U^(2^k) for every
-    set bit k, which is sound because all powers of U commute.  A reference
-    only: no count path calls it.
-    """
+    """The census vector U^e x0, by e steps of U.  A reference only: no count path calls it."""
     if e < 0:
         raise ValueError("e must be >= 0")
-    x, power = list(system.x0), system.matrix
-    while e:
-        if e & 1:
-            x = _apply(power, x)
-        e >>= 1
-        if e:  # skip the last square: nothing uses it, and it is the costliest
-            power = _mul(power, power)
+    x = system.x0
+    for _ in range(e):
+        x = _apply(system.matrix, x)
     return tuple(x)
 
 
 # not exported; perfbench/spans.py wraps complexity_sequence by name and reads .c
-class ComplexityReport(namedtuple("ComplexityReport", "c")):
-    """The counts c_0..c_emax, as ``complexity_sequence`` returns them."""
-
-    __slots__ = ()
+ComplexityReport = namedtuple("ComplexityReport", "c")
 
 
 def complexity_sequence(p: int, d: int, emax: int) -> ComplexityReport:

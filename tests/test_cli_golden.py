@@ -29,9 +29,12 @@ formats at four tolerances, and ``complexity`` tables at tol 1e-100 and
 upper end is capped at d - 1, and at 1e-3 and 1e-9 for (3, 14): the ratio
 bounds decide (2, 24) at 1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and
 give up at the other two, where Newton's method runs on a Krylov chi of
-degree 22 and 12; ``complexity`` tables at 1e-9 and 1e-30 for (2, 20) and
-(5, 14), and ``segre`` tables at 1e-30 for (2, 14) and (3, 14), five of
-which run Newton's method on a Krylov chi of degree 18 or 12;
+degree 22 and 12; ``complexity`` tables at 1e-30 for (3, 14) and at 1e-9
+for (2, 12), (2, 14), (3, 12), (3, 13), (5, 12) and (5, 13), where the ratio
+bounds give up and Newton's method runs on a chi of degree 10 to 12;
+``complexity`` tables at 1e-9 and 1e-30 for (2, 20) and (5, 14), and
+``segre`` tables at 1e-30 for (2, 14) and (3, 14), five of which run
+Newton's method on a Krylov chi of degree 18 or 12;
 ``verify`` in full, with an injected fault and with a tripping guard (a
 passing ``verify --quiet`` prints the last line of ``verify``;
 ``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
@@ -98,7 +101,10 @@ def grid():
                                   "--format", fmt], {}))
     for p, d, tols in ((2, 6, ("1e-100", "1e-300")), (3, 8, ("1e-100", "1e-300")),
                        (5, 7, ("1e-100", "1e-300")), (2, 24, ("1e-15", "1e-30")),
-                       (2, 30, ("1e-9",)), (2, 40, ("1e-9",)), (3, 14, ("1e-3", "1e-9"))):
+                       (2, 30, ("1e-9",)), (2, 40, ("1e-9",)),
+                       (3, 14, ("1e-3", "1e-9", "1e-30")), (2, 12, ("1e-9",)),
+                       (2, 14, ("1e-9",)), (3, 12, ("1e-9",)), (3, 13, ("1e-9",)),
+                       (5, 12, ("1e-9",)), (5, 13, ("1e-9",))):
         for tol in tols:  # narrow enough for the most Newton steps, or wide matrices
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
@@ -267,9 +273,9 @@ def test_printed_intervals_contain_the_radius_and_meet_their_width():
                 assert mpmath.mpf(lo) <= reference[key] <= mpmath.mpf(hi), (r["argv"], key)
                 checked += 1
     # 8 pairs, 4 tols; complexity prints 2 intervals, segre 2 in a table, 1 in
-    # json; then 16 narrow or wide complexity tables and 2 segre tables, of 2
+    # json; then 23 narrow or wide complexity tables and 2 segre tables, of 2
     # intervals each
-    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 16 * 2 + 2 * 2
+    assert checked == 8 * 4 * (2 + 2 + 2 + 1) + 23 * 2 + 2 * 2
 
 
 if __name__ == "__main__":

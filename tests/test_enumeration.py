@@ -97,6 +97,10 @@ def test_enumeration_validates_domain():
     for p, d, e, message in ((2, 0, 2, "d must be >= 1"), (2, 4, 0, "e must be >= 1")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             count_basis_enumeration(p, d, e)
+    # refused before d = 1 is settled, which forms no power of p
+    for p, d, e in ((2, 1, 2.5), (2, 1, 1.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            count_basis_enumeration(p, d, e)
 
 
 def test_one_variable_forms_no_power_of_p():

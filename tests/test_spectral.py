@@ -793,9 +793,9 @@ def _scaled_chi_at_the_limit(p, d):
                           for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
-def test_radius_lies_above_its_large_p_limit_for_every_prime():
-    # the lower end alpha_d p^(d-1) < rho, proved for every prime p at
-    # d = 3..12.  chi is monic, so g_d(p) < 0 puts a real root, and so rho,
+def prove_radius_above_its_large_p_limit(d):
+    # the lower end alpha_d p^(d-1) < rho, proved for every prime p at this
+    # d >= 3.  chi is monic, so g_d(p) < 0 puts a real root, and so rho,
     # above alpha_d p^(d-1).  For p >= d - 1 each entry of (d-1)! U(p) is an
     # integer polynomial in p of degree d - 1 (every M_d term has m - kp >=
     # 0 or none), so g_d is one of degree at most N = n(d - 1).  Interpolated
@@ -803,29 +803,33 @@ def test_radius_lies_above_its_large_p_limit_for_every_prime():
     # at s = N + 1 and N + 2, it has every coefficient in s negative but the
     # zero one of s^N, so g_d < 0 for every real p >= d - 1.  The primes
     # below d - 1 are checked one by one.  Nothing here calls build_table,
-    # build_system or char_poly
+    # build_system or char_poly.  CI runs it for d = 13..20
+    n, base = d - 2, d - 1
+    deg = n * (d - 1)
+    values = [_scaled_chi_at_the_limit(base + s, d) for s in range(deg + 3)]
+    diffs, row = [], values[:deg + 1]
+    while row:  # diffs[k] = (Delta^k g)(0)
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    # N! g(s) = sum_k diffs[k] N!/k! s(s-1)...(s-k+1), by Horner from the top
+    scaled = [diffs[deg]]
+    for k in range(deg - 1, -1, -1):
+        scaled = [u - k * v for u, v in zip([0, *scaled], [*scaled, 0])]
+        scaled[0] += diffs[k] * factorial(deg) // factorial(k)
+    coeffs = [c // factorial(deg) for c in scaled]
+    assert [c * factorial(deg) for c in coeffs] == scaled, d  # integer coefficients
+    for s in (deg + 1, deg + 2):
+        assert sum(c * s**k for k, c in enumerate(coeffs)) == values[s], (d, s)
+    # s^N's is 0: U's leading term in p has rank one and eigenvalue alpha_d
+    assert coeffs[-1] == 0 and all(c < 0 for c in coeffs[:-1]), d
+    for p in range(2, base):
+        if all(p % q for q in range(2, p)):  # the primes below d - 1
+            assert _scaled_chi_at_the_limit(p, d) < 0, (p, d)
+
+
+def test_radius_lies_above_its_large_p_limit_for_every_prime():
     for d in range(3, 13):
-        n, base = d - 2, d - 1
-        deg = n * (d - 1)
-        values = [_scaled_chi_at_the_limit(base + s, d) for s in range(deg + 3)]
-        diffs, row = [], values[:deg + 1]
-        while row:  # diffs[k] = (Delta^k g)(0)
-            diffs.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
-        # N! g(s) = sum_k diffs[k] N!/k! s(s-1)...(s-k+1), by Horner from the top
-        scaled = [diffs[deg]]
-        for k in range(deg - 1, -1, -1):
-            scaled = [u - k * v for u, v in zip([0, *scaled], [*scaled, 0])]
-            scaled[0] += diffs[k] * factorial(deg) // factorial(k)
-        coeffs = [c // factorial(deg) for c in scaled]
-        assert [c * factorial(deg) for c in coeffs] == scaled, d  # integer coefficients
-        for s in (deg + 1, deg + 2):
-            assert sum(c * s**k for k, c in enumerate(coeffs)) == values[s], (d, s)
-        # s^N's is 0: U's leading term in p has rank one and eigenvalue alpha_d
-        assert coeffs[-1] == 0 and all(c < 0 for c in coeffs[:-1]), d
-        for p in (2, 3, 5, 7):  # the primes below d - 1 <= 11
-            if p < base:
-                assert _scaled_chi_at_the_limit(p, d) < 0, (p, d)
+        prove_radius_above_its_large_p_limit(d)
 
 
 def test_radius_lies_between_its_large_p_limit_and_p_to_the_d_minus_1():

@@ -380,6 +380,17 @@ def test_term_and_sum_refusals(p, d, e, message):
         term_and_sum(p, d, e)
 
 
+# a fractional level, refused before the d <= 2 shortcut can answer it
+TERM_TYPE_REFUSALS = [(2, 2, 2.5), (3, 1, 2.5), (2, 2, 3.0)]
+
+
+@pytest.mark.parametrize("p, d, e", TERM_TYPE_REFUSALS)
+def test_far_terms_refuse_a_fractional_level(p, d, e):
+    for count in (complexity_term, term_and_sum):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            count(p, d, e)
+
+
 def test_sequence_report_matches_terms():
     # the one field the benchmark's complexity_sequence hook reads
     assert complexity_sequence(2, 4, 6).c == (0, 4, 4, 24, 160, 1120, 8000)
