@@ -12,11 +12,11 @@ Fraction that provably brackets the target.
   never rises, and the max is at most the largest column sum.  On a
   transfer matrix 1^T is almost a left Perron vector, as every column but
   one sums to p^(d-1), so a few steps often meet tol.  The loop gives up
-  at a zero entry of y_k, or when its last contraction, repeated for the
-  rest of n steps (those a Krylov chi spends), would not reach tol.  Then
-  it runs Newton's method from the right on the exact characteristic
-  polynomial chi, of degree n.  rho is an eigenvalue and every eigenvalue
-  has Re lambda <= rho (Perron-Frobenius), so at real t > rho each term of
+  at a zero entry of y_k, or when its last contraction, repeated up to
+  step n, the loop's horizon, would not reach tol.  Then it runs Newton's
+  method from the right on the exact characteristic polynomial chi, of
+  degree n.  rho is an eigenvalue and every eigenvalue has Re lambda <= rho
+  (Perron-Frobenius), so at real t > rho each term of
   chi'(t) / chi(t) = sum_i 1 / (t - lambda_i) has real part in (0, 1 / (t
   - rho)], the term of rho equal to it, and delta = chi(t) / chi'(t) has
   (t - rho) / n <= delta <= t - rho: rho lies in [t - n delta, t - delta].
@@ -49,9 +49,7 @@ Fraction that provably brackets the target.
 
 ``char_poly`` is defined in ``transfer``, whose count recurrence needs it,
 and re-exported here: chi is exact, a tuple of integer coefficients, x^0's
-first, from a Krylov basis by p-adic lifting from dimension 12 on and by
-Berkowitz's division-free method below it or where the Krylov basis is
-singular.
+first, by Berkowitz's division-free method at every dimension.
 
 The growth rate of the counts is this spectral radius, as the transfer
 matrix, positive on its diagonal and beside it, is primitive and its seed
@@ -163,8 +161,8 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 def _collatz_wielandt(rows: Matrix, tn: int, td: int) -> SpectralEstimate | None:
     # [lo, hi] from the ratios of y_k = y_(k-1)^T U to y_(k-1) > 0, y_0 = 1,
     # or None when some y_k has a zero entry or the gap's log2, L_k, would
-    # not reach tol's within the n steps a Krylov chi takes: from k = 2 on,
-    # if L_k + (n - k)(L_k - L_(k-1)) > log2 tol, in bit lengths.  Each pair
+    # not reach tol's by step n, the loop's horizon: from k = 2 on, if
+    # L_k + (n - k)(L_k - L_(k-1)) > log2 tol, in bit lengths.  Each pair
     # is found by cross-multiplying, and the Fractions are built on return
     n, cols, y = len(rows), list(zip(*rows)), [1] * len(rows)
     for k in range(1, n + 1):

@@ -29,19 +29,17 @@ q = t^k mod chi and the Hankel matrix H[i][j] = c_{i+j+2+b}.  This Hankel
 finish is n big products in place of the last, largest squaring.  q comes
 by square-and-multiply, each square taking n(n + 1)/2 int squares, as
 2 r_i r_k = (r_i + r_k)^2 - r_i^2 - r_k^2.  ``char_poly`` costs about n^4/4
-small products below n = 12 (Berkowitz) and O(n^3) small-by-big ones from
-there on (a Krylov basis, lifted p-adically), so chi is used only where it
-pays, by one crossover rule (``_chi_pays``): from the last level wanted
+small products (Berkowitz), so chi is used only where it pays, by one
+crossover rule (``_chi_pays``): from the last level wanted
 e >= T = n^2/4 + n + 8 on, a sweep turns to chi after c_{n+1} and one term
 is Fiduccia's; below it, one term is a matrix sweep's last count.  The
 finish's terms, to level 2n + 3 at most, come from a matrix sweep too, as
-2n + 3 < T for every n.  The rule was fit with Berkowitz's chi for every n:
-measured for p = 2 and 5 on ints, a sweep's matrix/chi time ratio crossed 1
-at 0.9-1.1 T for n = 10 and at 0.4-0.65 T for n = 30, one term's
-sweep/Fiduccia ratio at 1.0-1.1 T and at 0.5-0.6 T; on Decimals a sweep's
-crossed at 0.3-0.7 T for n = 10..30.  With the Krylov chi it turns to chi
-late for n >= 12; ROADMAP.md, item 11, has the crossovers measured since.
-Counts grow to about e * log2(rho) bits, rho the spectral radius.
+2n + 3 < T for every n.  The rule was fit with Berkowitz's chi: measured
+for p = 2 and 5 on ints, a sweep's matrix/chi time ratio crossed 1 at
+0.9-1.1 T for n = 10 and at 0.4-0.65 T for n = 30, one term's
+sweep/Fiduccia ratio at 1.1-1.2 T and at 0.5-0.6 T; on Decimals a sweep's
+crossed at 0.3-0.7 T for n = 10..30.  Counts grow to about e * log2(rho)
+bits, rho the spectral radius.
 
 The partial sums k_e = c_0 + ... + c_e have k_e - k_{e-1} = c_e, so from
 e = 1 on they obey the order-(n + 1) recurrence of (t - 1) chi, and
@@ -126,100 +124,19 @@ def _validate_matrix(matrix) -> Matrix:
     return rows
 
 
-# the word-size prime of the Krylov solve: 2, 3, 5, 7, 11 and 13 have order
-# above 10^17 modulo it.  Modulo 2^61 - 1, where 2 has order 61, the Krylov
-# bases of the p = 2 transfer matrices are singular from d = 124 on
-_Q = (1 << 62) - 57
-_KRYLOV_MIN = 12  # the first n where the Krylov solve won every timing, for p = 2, 3, 5
-
-
 def char_poly(matrix) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - U), exactly, as its coefficients.
 
     The tuple has length n + 1, x^0's coefficient first, and ends in 1.
 
-    From dimension n = 12 on, from a Krylov basis by p-adic lifting (Dixon,
-    1982).  With v = (1, ..., 1) and K = [v | Uv | ... | U^(n-1) v],
-    Cayley-Hamilton gives K a = -U^n v for chi's coefficients a_0..a_{n-1}.
-    K is factored once modulo the prime q = 2^62 - 57; while the residual r
-    (first -U^n v) is nonzero, a step takes the balanced digit x = K^-1 r
-    mod q, adds q^i x to a and sets r = (r - Kx) / q.  The result is exact,
-    not probabilistic: K invertible mod q is invertible over the rationals,
-    so a is the one solution, and r = 0 with every division exact certifies
-    K a = -U^n v.  Every |a_k| <= C(n, k) R^(n-k) < (R + 1)^n, R the largest
-    absolute row sum, so at most bits((R + 1)^n) // 60 + 1 steps take all of
-    a's digits.  O(n^3) small-by-big products build K, and each step takes
-    O(n^2).  A K that is singular mod q, which it is for every derogatory
-    matrix such as 2I, a step that meets an inexact division, or a residual
-    left after the last step falls back to Berkowitz (1984), which also
-    serves below n = 12: with U = [[a, r], [c, M]], det(xI - U) is det(xI -
-    M) times the lower triangular Toeplitz matrix with first column 1, -a,
-    -rc, -rMc, -rM^2c, ...: about n^4/4 integer products, and no division.
+    By Berkowitz's division-free method (1984): with U = [[a, r], [c, M]],
+    det(xI - U) is det(xI - M) times the lower triangular Toeplitz matrix
+    with first column 1, -a, -rc, -rMc, -rM^2c, ...  The loop builds
+    det(xI - M) for U's trailing blocks M, from its last diagonal entry
+    outwards, one row and column a step: about n^4/4 integer products, and
+    no division.
     """
     rows = _validate_matrix(matrix)
-    coeffs = _krylov_chi(rows) if len(rows) >= _KRYLOV_MIN else None
-    return _berkowitz(rows) if coeffs is None else coeffs
-
-
-def _krylov_chi(rows: Matrix) -> tuple[int, ...] | None:
-    # chi's coefficients, low first, by Dixon lifting on the Krylov basis
-    # (char_poly's docstring), or None where char_poly falls back
-    n = len(rows)
-    krylov = [[1] * n]
-    for _ in range(n):
-        krylov.append(_apply(rows, krylov[-1]))
-    basis = list(zip(*krylov[:n]))  # K, by rows
-    if (lu := _factor_mod(basis)) is None:
-        return None
-    r, a, scale = [-v for v in krylov[n]], [0] * n, 1
-    bits = n * (max(sum(map(abs, row)) for row in rows) + 1).bit_length()
-    for _ in range(bits // 60 + 1):  # q^steps > 2^(bits + 1) > 2 max |a_k|
-        if not any(r):
-            break
-        x = [v - _Q if v > _Q >> 1 else v for v in _solve_mod(lu, [v % _Q for v in r])]
-        steps = [divmod(v - sum(map(mul, row, x)), _Q) for v, row in zip(r, basis)]
-        if any(m for _, m in steps):
-            return None
-        r = [t for t, _ in steps]
-        a = [u + scale * v for u, v in zip(a, x)]
-        scale *= _Q
-    return None if any(r) else (*a, 1)
-
-
-def _factor_mod(rows: Sequence[Sequence[int]]):
-    # K = P L U mod _Q, L unit lower: (row order, L's rows left of the
-    # diagonal, U's rows right of it, U's inverse pivots), or None if K is
-    # singular mod _Q.  Left-looking, so each entry is one dot product
-    n = len(rows)
-    a, order, inv = list(rows), list(range(n)), []
-    low, cols = [[] for _ in rows], [[] for _ in rows]  # L by rows, U by columns
-    for k in range(n):
-        c = [(a[i][k] - sum(map(mul, low[i], cols[k]))) % _Q for i in range(k, n)]
-        if (piv := next((i for i, v in enumerate(c) if v), None)) is None:
-            return None
-        for s, j in ((a, k), (low, k), (order, k), (c, 0)):  # the pivot row moves up to k
-            s[j], s[j + piv] = s[j + piv], s[j]
-        inv.append(pow(c[0], -1, _Q))
-        for i in range(k + 1, n):
-            low[i].append(c[i - k] * inv[k] % _Q)
-            cols[i].append((a[k][i] - sum(map(mul, low[k], cols[i]))) % _Q)
-    return order, low, [[cols[j][k] for j in range(k + 1, n)] for k in range(n)], inv
-
-
-def _solve_mod(lu, r: Sequence[int]) -> list[int]:
-    # x with K x = r mod _Q, from _factor_mod's factors of K
-    order, low, up, inv = lu
-    y = []
-    for i, row in zip(order, low):
-        y.append((r[i] - sum(map(mul, row, y))) % _Q)
-    x = []
-    for u, row, w in zip(reversed(y), reversed(up), reversed(inv)):
-        x.insert(0, (u - sum(map(mul, row, x))) * w % _Q)
-    return x
-
-
-def _berkowitz(rows: Matrix) -> tuple[int, ...]:
-    # chi's coefficients, low first, by Berkowitz (char_poly's docstring)
     n = len(rows)
     poly = [1]  # det(xI - M), highest power first, M the trailing block
     for k in range(n - 1, -1, -1):

@@ -28,13 +28,13 @@ formats at four tolerances, and ``complexity`` tables at tol 1e-100 and
 1e-30 for (2, 24), at 1e-9 for (2, 30) and (2, 40), where the complexity's
 upper end is capped at d - 1, and at 1e-3 and 1e-9 for (3, 14): the ratio
 bounds decide (2, 24) at 1e-15, (2, 30), (2, 40) and (3, 14) at 1e-3, and
-give up at the other two, where Newton's method runs on a Krylov chi of
-degree 22 and 12; ``complexity`` tables at 1e-30 for (3, 14) and at 1e-9
+give up at the other two, where Newton's method runs on a chi of degree
+22 and 12; ``complexity`` tables at 1e-30 for (3, 14) and at 1e-9
 for (2, 12), (2, 14), (3, 12), (3, 13), (5, 12) and (5, 13), where the ratio
 bounds give up and Newton's method runs on a chi of degree 10 to 12;
 ``complexity`` tables at 1e-9 and 1e-30 for (2, 20) and (5, 14), and
 ``segre`` tables at 1e-30 for (2, 14) and (3, 14), five of which run
-Newton's method on a Krylov chi of degree 18 or 12;
+Newton's method on a chi of degree 18 or 12;
 ``verify`` in full, with an injected fault and with a tripping guard (a
 passing ``verify --quiet`` prints the last line of ``verify``;
 ``test_cli.py`` checks it byte for byte); ``twisted demo``; refused inputs
@@ -108,7 +108,7 @@ def grid():
         for tol in tols:  # narrow enough for the most Newton steps, or wide matrices
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))
-    for p, d in ((2, 20), (5, 14)):  # chi from the Krylov solve, degree 18 and 12
+    for p, d in ((2, 20), (5, 14)):  # chi of degree 18 and 12
         for tol in ("1e-9", "1e-30"):
             cmds.append((["complexity", "--p", p, "--d", d, "--tol", tol,
                           "--format", "table"], {}))

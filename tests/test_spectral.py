@@ -429,7 +429,7 @@ def test_floor_log2_sees_only_the_value(num, den, g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(square_matrices(st.integers(min_value=-5, max_value=5)))
+@given(square_matrices(st.integers(min_value=-5, max_value=5), max_n=18))
 def test_char_poly_satisfies_cayley_hamilton(matrix):
     n = len(matrix)
 

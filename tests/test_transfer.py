@@ -8,15 +8,13 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobcx import cli, transfer
+from frobcx import cli
 from frobcx.closedform import closed_form_d3
 from frobcx.enumeration import count_basis_carryvectors, count_basis_enumeration
 from frobcx.poincare import build_table
 from frobcx.transfer import (
     TransferSystem,
     _apply,
-    _berkowitz,
-    _krylov_chi,
     _power_of_t,
     build_system,
     char_poly,
@@ -452,25 +450,10 @@ def test_census_states_stay_positive_in_first_slot(p, d):
         assert x[0] > 0
 
 
-# char_poly from the Krylov solve's first dimension on, against Berkowitz
-N0 = transfer._KRYLOV_MIN
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=N0, max_value=N0 + 6).flatmap(
-    lambda n: st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_char_poly_equals_berkowitz_on_signed_matrices(rows):
-    rows = tuple(map(tuple, rows))
-    reference = _berkowitz(rows)
-    assert _krylov_chi(rows) in (None, reference)
-    assert char_poly(rows) == reference
-
-
 def _derogatory(kind, n, data):
-    # an n x n matrix whose minimal polynomial has degree < n, so that every
-    # Krylov basis is singular, with its characteristic polynomial where a
-    # closed form gives it (low coefficient first), else None
+    # an n x n matrix whose minimal polynomial has degree < n, with its
+    # characteristic polynomial where a closed form gives it (low
+    # coefficient first), else None
     entries = st.integers(min_value=-9, max_value=9)
     if kind == "scalar":
         c = data.draw(entries)
@@ -494,99 +477,41 @@ def _derogatory(kind, n, data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["scalar", "zero", "nilpotent", "permutation", "double"]),
-       st.integers(min_value=N0, max_value=N0 + 6), st.data())
+       st.integers(min_value=12, max_value=18), st.data())
 def test_char_poly_of_derogatory_matrices_falls_back_to_berkowitz(kind, n, data):
+    # chi where the minimal polynomial is a proper factor of it, at n = 12..18
     rows, closed = _derogatory(kind, n, data)
-    rows = tuple(map(tuple, rows))
-    reference = _berkowitz(rows)
-    assert _krylov_chi(rows) is None
-    assert char_poly(rows) == reference
-    assert closed is None or reference == closed
+    chi = char_poly(rows)
+    assert len(chi) == n + 1 and chi[-1] == 1
+    assert closed is None or chi == closed
 
 
 def test_char_poly_of_a_nonderogatory_nilpotent_matrix():
-    # the shift matrix has one Jordan block: its Krylov basis is triangular
-    # with a unit diagonal, and U^n v = 0 gives chi = t^n at once
-    shift = tuple(tuple(int(j == i + 1) for j in range(N0)) for i in range(N0))
-    assert _krylov_chi(shift) == (0,) * N0 + (1,)
+    # the shift matrix has one Jordan block and chi = t^n
+    n = 12
+    shift = tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n))
+    assert char_poly(shift) == (0,) * n + (1,)
 
 
 def test_char_poly_returns_a_monic_tuple_of_ints_on_every_path():
-    # Berkowitz below N0, the Krylov solve from it on, and Berkowitz again
-    # for 2I at N0, whose Krylov basis is singular: chi = (x - 2)^N0
-    scalar = tuple(tuple(2 * (i == j) for j in range(N0)) for i in range(N0))
-    below, past = build_system(2, 8).matrix, build_system(2, N0 + 4).matrix
-    assert len(below) < N0 <= len(past) and _krylov_chi(past) is not None
-    assert _krylov_chi(scalar) is None
-    for rows in (below, past, scalar):
+    # transfer matrices at n = 6 and 16, and 2I at n = 12: chi = (x - 2)^12
+    n = 12
+    scalar = tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n))
+    for rows in (build_system(2, 8).matrix, build_system(2, 18).matrix, scalar):
         chi = char_poly(rows)
         assert type(chi) is tuple and {type(c) for c in chi} == {int}
         assert len(chi) == len(rows) + 1 and chi[-1] == 1
-        assert chi == _berkowitz(rows)
-    assert char_poly(scalar) == tuple(comb(N0, k) * (-2) ** (N0 - k) for k in range(N0 + 1))
+    assert char_poly(scalar) == tuple(comb(n, k) * (-2) ** (n - k) for k in range(n + 1))
 
 
 def test_char_poly_of_powers_of_two_past_the_order_of_2():
-    # the eigenvalues 1, 2, ..., 2^63 are distinct, so v = (1, ..., 1) is
-    # cyclic; modulo a prime in which 2 has order 64 or less, such as
-    # 2^61 - 1, two of them would meet, and the Krylov basis, a Vandermonde
-    # matrix in them, would be singular
+    # the eigenvalues 1, 2, ..., 2^63: coefficients past any word size
     n = 64
     rows = tuple(tuple(2**i * (i == j) for j in range(n)) for i in range(n))
     chi = [1]  # prod (t - 2^i), low coefficient first
     for i in range(n):
         chi = [u - 2**i * v for u, v in zip([0, *chi], [*chi, 0])]
-    assert _krylov_chi(rows) == tuple(chi)
-
-
-def test_transfer_chi_takes_the_krylov_path(monkeypatch):
-    # p = 2 to d = 40 holds certify's wide points, d 24..40; below N0 the
-    # Krylov solve is checked directly, as char_poly keeps Berkowitz there
-    grid = ([(2, d) for d in range(3, 41)] + [(p, d) for p in (3, 5) for d in range(3, 23)]
-            + [(p, d) for p in range(7, 102) if all(p % q for q in range(2, p))
-               for d in range(3, 11)])
-    systems = [build_system(p, d).matrix for p, d in grid]
-    references = [_berkowitz(rows) for rows in systems]
-
-    def refuse(rows):
-        raise AssertionError(f"Berkowitz ran at n = {len(rows)}")
-
-    monkeypatch.setattr(transfer, "_berkowitz", refuse)
-    for (p, d), rows, reference in zip(grid, systems, references):
-        got = char_poly(rows) if len(rows) >= N0 else _krylov_chi(rows)
-        assert got == reference, (p, d)
-
-
-def test_char_poly_survives_a_wrong_modular_digit(monkeypatch):
-    rows = build_system(2, 24).matrix
-    reference = _berkowitz(rows)
-    bound = len(rows) * (max(map(sum, rows)) + 1).bit_length() // 60 + 1
-    solve = transfer._solve_mod
-
-    def run(fault, faulted):
-        # (the Krylov solve's answer, its steps) with the digit x_0 of the
-        # steps that faulted() picks off by fault; char_poly stays right
-        calls = []
-
-        def wrong_digit(lu, r):
-            x = solve(lu, r)
-            calls.append(r)
-            return [x[0] + fault, *x[1:]] if faulted(len(calls)) else x
-
-        monkeypatch.setattr(transfer, "_solve_mod", wrong_digit)
-        out = _krylov_chi(rows), len(calls)
-        assert out[1] <= bound
-        assert char_poly(rows) == reference
-        return out
-
-    steps = run(0, lambda k: False)[1]
-    for at in range(1, steps + 1):  # off by 1, the last digit too: the division is inexact
-        assert run(1, lambda k: k == at) == (None, at)
-    # off by q, past the balanced range (x + 2q balances to x + q): once,
-    # later digits absorb it and r = 0 certifies the sum; at every step, r
-    # never reaches 0, and the step bound ends the loop
-    assert run(2 * transfer._Q, lambda k: k == 2)[0] == reference
-    assert run(2 * transfer._Q, lambda k: True) == (None, bound)
+    assert char_poly(rows) == tuple(chi)
 
 
 def _carries(p, d):
@@ -612,31 +537,27 @@ def test_eulerian_numbers_are_a_left_eigenvector_of_the_carries_matrix():
         assert [sum(map(mul, a, col)) for col in zip(*rows)] == [p**d * v for v in a], (p, d)
 
 
-def test_krylov_chi_of_the_carries_matrix_has_its_closed_form(monkeypatch):
-    # an exact reference for the Krylov path past Berkowitz's reach: H is
-    # centrosymmetric, so its Krylov space from v = (1, ..., 1) is about half
-    # of it, but S^-1 H S, S = I + E_01 (column 1 += column 0, then row 0 -=
-    # row 1), has a cyclic v and the same chi; below N0 the Krylov solve is
-    # checked directly, as char_poly keeps Berkowitz there
-    def refuse(rows):
-        raise AssertionError(f"Berkowitz ran at n = {len(rows)}")
+def _conjugated_carries(p, d):
+    # S^-1 H S, S = I + E_01 (column 1 += column 0, then row 0 -= row 1): a
+    # signed matrix, no longer centrosymmetric, with H's chi
+    rows = _carries(p, d)
+    for row in rows:
+        row[1] += row[0]
+    rows[0] = [a - b for a, b in zip(rows[0], rows[1])]
+    return rows
 
-    monkeypatch.setattr(transfer, "_berkowitz", refuse)
-    for p, d in ((2, 4), (2, 10), (3, 7), (5, 12), (2, 40), (5, 60)):
-        rows = _carries(p, d)
-        for row in rows:
-            row[1] += row[0]
-        rows[0] = [a - b for a, b in zip(rows[0], rows[1])]
-        got = char_poly(rows) if d >= N0 else _krylov_chi(tuple(map(tuple, rows)))
-        assert got == _carries_chi(p, d), (p, d)
+
+def test_char_poly_of_the_carries_matrix_has_its_closed_form():
+    # an exact reference at sizes no other test reaches; CI runs (5, 60) and (2, 100)
+    for p, d in ((2, 4), (2, 10), (3, 7), (5, 12), (2, 40)):
+        assert char_poly(_conjugated_carries(p, d)) == _carries_chi(p, d), (p, d)
 
 
 def test_berkowitz_chi_of_the_carries_matrix_has_every_power_of_p_as_a_root():
-    # H itself: the Krylov basis is singular, and Berkowitz's fallback answers
+    # H itself, every row summing to p^d
     for p, d in ((2, 10), (3, 14), (2, 40)):
         rows = tuple(map(tuple, _carries(p, d)))
         assert {sum(row) for row in rows} == {p**d}
-        assert _krylov_chi(rows) is None
         chi = char_poly(rows)
         assert len(chi) - 1 == d
         for k in range(d):
