@@ -36,6 +36,14 @@ class Prime(int):
         return super().__new__(cls, v)
 
 
+def at_least(value: int, low: int, name: str) -> int:
+    """``value`` as an int, refused below ``low``: no truncation, so 2.5 raises TypeError."""
+    value = index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def digits(a: int, p: int, length: int) -> tuple[int, ...]:
     """Base-p digits of ``a``, little-endian, padded/limited to ``length``.
 
@@ -64,9 +72,7 @@ class ExponentVector(namedtuple("ExponentVector", "a p e")):
     __slots__ = ()
 
     def __new__(cls, a, p: int, e: int) -> "ExponentVector":
-        p, a, e = Prime(p), tuple(map(index, a)), index(e)  # no truncation of 1.9
-        if e < 1:
-            raise ValueError("e must be >= 1")
+        p, a, e = Prime(p), tuple(map(index, a)), at_least(e, 1, "e")
         if not a:
             raise ValueError("need at least one exponent")
         if any(x < 0 for x in a):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, islice, tee
 
-from .basep import Prime
+from .basep import Prime, at_least
 from .closedform import (
     closed_form_d3,
     known_complexity_expression,
@@ -182,17 +182,13 @@ def _sequence_counts(args) -> tuple[str, Callable[[], Iterable]]:
     checked when it is called; the other engines' are computed once, here,
     as a short list.
     """
-    p = Prime(args.p)
-    if args.d < 1:
-        raise ValueError("d must be >= 1")
-    if args.emax < 0:
-        raise ValueError("emax must be >= 0")
+    p, d, emax = Prime(args.p), at_least(args.d, 1, "d"), at_least(args.emax, 0, "emax")
     guards = _guards(args)
-    engine = _resolve_engine(args.engine, p, args.d, args.emax, guards["enumerate"])
+    engine = _resolve_engine(args.engine, p, d, emax, guards["enumerate"])
     if engine in LEVEL_GUARDS:
-        for e in range(1, args.emax + 1):
-            LEVEL_GUARDS[engine](p, args.d, e, guards[engine])
-    counts = partial(ENGINE_TERMS[engine], p, args.d, args.emax, guards.get(engine))
+        for e in range(1, emax + 1):
+            LEVEL_GUARDS[engine](p, d, e, guards[engine])
+    counts = partial(ENGINE_TERMS[engine], p, d, emax, guards.get(engine))
     if engine != "transfer":
         terms = list(counts())
         counts = lambda: terms
@@ -378,10 +374,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_twisted_demo(args) -> int:
     p = Prime(args.p)
-    if args.trunc < 1:
-        raise ValueError("N must be >= 1")
-    if args.r < 1:
-        raise ValueError("r must be >= 1")
+    at_least(args.trunc, 1, "N")
+    at_least(args.r, 1, "r")
     ring = QuotientRing(p, args.trunc)
     e0 = min_kill_degree(ring)
     if args.e < e0:

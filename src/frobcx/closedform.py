@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import product
 from operator import index
 
-from .basep import Prime
+from .basep import Prime, at_least
 from .errors import GuardExceeded
 
 MAX_TERMS = 10**7
@@ -37,9 +37,7 @@ MAX_TERMS = 10**7
 
 def closed_form_d3(p: int, e: int) -> int:
     """c_{3,e} exactly: p^e (p-1)^2 (p+1)^{e-2} / 2^e for e >= 2, comb(p+1, 2) at e = 1."""
-    p, e = Prime(p), index(e)  # 3.0 raises TypeError
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    p, e = Prime(p), at_least(e, 1, "e")
     if e == 1:  # every monomial of degree p - 1 qualifies
         return p * (p + 1) // 2
     num = p**e * (p - 1) ** 2 * (p + 1) ** (e - 2)

@@ -37,9 +37,8 @@ from collections.abc import Callable
 from functools import partial
 from itertools import cycle, product, repeat
 from math import comb
-from operator import index
 
-from .basep import ExponentVector, Prime
+from .basep import ExponentVector, Prime, at_least
 from .errors import GuardExceeded
 from .poincare import build_table
 
@@ -147,11 +146,7 @@ def count_basis_enumeration(
     state, plus O(e^2) per distinct sums; the number of compositions
     bounds the states.
     """
-    p, d, e = Prime(p), index(d), index(e)  # 2.5 raises TypeError
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    p, d, e = Prime(p), at_least(d, 1, "d"), at_least(e, 1, "e")
     needed = guard_compositions(p, d, e, max_compositions)
 
     if e == 1:
@@ -201,11 +196,7 @@ def count_basis_carryvectors(
     is empty and the sum is 0.  Cost is max(d-2, 0)^(e-1) products of e
     table lookups, guarded by ``max_carryvectors``.
     """
-    p, d, e = Prime(p), index(d), index(e)  # 2.5 raises TypeError
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if e < 1:
-        raise ValueError("e must be >= 1")
+    p, d, e = Prime(p), at_least(d, 1, "d"), at_least(e, 1, "e")
     guard_carryvectors(p, d, e, max_carryvectors)
 
     md = dict(enumerate(build_table(p, d))).get

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import index, sub
+from operator import sub
 
-from .basep import Prime
+from .basep import Prime, at_least
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -29,9 +29,7 @@ def build_table(p: int, d: int) -> tuple[int, ...]:
     downstream engines.  The cache is typed, so a float d never reaches the
     entry of an int d equal to it: 4.0 raises TypeError whatever came before.
     """
-    p, d = Prime(p), index(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    p, d = Prime(p), at_least(d, 1, "d")
     coeffs = [1]
     for _ in range(d):
         pre = list(accumulate([0] * (p - 1) + coeffs + [0] * (p - 1), initial=0))

@@ -69,6 +69,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
+from .basep import at_least
 from .errors import NotCertified, NotConverged
 from .transfer import Matrix, _validate_matrix, build_system, char_poly
 
@@ -260,8 +261,7 @@ def log2_interval(x, m: int) -> tuple[Fraction, Fraction]:
     x = Fraction(x)
     if x <= 0:
         raise ValueError("logarithm needs a positive argument")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = at_least(m, 1, "m")
     if x == 1:
         return Fraction(0), Fraction(0)
     k = _floor_log2(*x.as_integer_ratio())
@@ -287,8 +287,7 @@ def log_of_interval(lo, hi, base: int, tol) -> RationalInterval:
     """
     lo, hi = RationalInterval(lo, hi)
     tol = _as_fraction(tol)
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    base = at_least(base, 2, "base")
     m = (-((-tol.denominator) // tol.numerator)).bit_length()  # bits(ceil(1/tol))
     if base != 2:
         k = max(abs(_floor_log2(*v.as_integer_ratio())) for v in (lo, hi))

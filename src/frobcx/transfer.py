@@ -67,7 +67,7 @@ from itertools import accumulate
 from math import comb
 from operator import index, mul, sub
 
-from .basep import Prime
+from .basep import Prime, at_least
 from .poincare import build_table
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -199,9 +199,7 @@ def complexity_term(p: int, d: int, e: int) -> int:
     Below the crossover rule, the last count of ``sweep(p, d, e)`` (to e <= 2
     for d <= 2, whose later counts are 0); from it on, Fiduccia's method.
     """
-    d, e = index(d), index(e)  # 2.5 raises TypeError; p is checked where it is used
-    if e < 0:
-        raise ValueError("e must be >= 0")
+    d, e = index(d), at_least(e, 0, "e")  # p is checked where it is used
     n = d - 2
     if n < 1 or not _chi_pays(n, e):
         return sweep(p, d, min(e, 2) if n < 1 else e)[-1]
@@ -218,9 +216,7 @@ def term_and_sum(p: int, d: int, e: int) -> tuple[int, int]:
     k_1 on (module docstring): one Hankel finish gives k_{e-1} and k_e, and
     c_e is their difference.
     """
-    d, e = index(d), index(e)  # 2.5 raises TypeError; p is checked where it is used
-    if e < 0:
-        raise ValueError("e must be >= 0")
+    d, e = index(d), at_least(e, 0, "e")  # p is checked where it is used
     n = d - 2
     if n < 1 or not _chi_pays(n, e):
         c = sweep(p, d, min(e, 2) if n < 1 else e)
@@ -248,17 +244,17 @@ def iter_counts(
     those.  ``number=decimal.Decimal`` is exact only under a context that
     cannot round, and it is the context current when each count is taken
     that counts.  ``system`` replaces the one ``build_system(p, d)`` would
-    assemble; it must be for the same (p, d).
+    assemble; it must be for the same (p, d), with integer entries.
     """
-    p, d, emax = Prime(p), index(d), index(emax)  # 3.0 raises TypeError here, not mid-sweep
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if emax < 0:
-        raise ValueError("emax must be >= 0")
-    if system is not None and (system.p, system.d) != (p, d):
-        raise ValueError(
-            f"system is for (p={system.p}, d={system.d}), not (p={p}, d={d})"
-        )
+    p, d, emax = Prime(p), at_least(d, 1, "d"), at_least(emax, 0, "emax")  # here, not mid-sweep
+    if system is not None:
+        if (system.p, system.d) != (p, d):
+            raise ValueError(
+                f"system is for (p={system.p}, d={system.d}), not (p={p}, d={d})"
+            )
+        system = system._replace(matrix=_validate_matrix(system.matrix),
+                                 x0=tuple(map(index, system.x0)),
+                                 weights=tuple(map(index, system.weights)))
     return _counts(p, d, emax, system, number)
 
 
@@ -297,10 +293,8 @@ def sweep(p: int, d: int, emax: int) -> list[int]:
 # not exported; perfbench/tests/test_checker.py calls transfer.state
 def state(system: TransferSystem, e: int) -> tuple[int, ...]:
     """The census vector U^e x0, by e steps of U.  A reference only: no count path calls it."""
-    if e < 0:
-        raise ValueError("e must be >= 0")
     x = system.x0
-    for _ in range(e):
+    for _ in range(at_least(e, 0, "e")):
         x = _apply(system.matrix, x)
     return tuple(x)
 

@@ -23,7 +23,7 @@ import random
 from collections import namedtuple
 from operator import index
 
-from .basep import Prime
+from .basep import Prime, at_least
 
 
 class QuotientRing(namedtuple("QuotientRing", "p n")):
@@ -32,9 +32,7 @@ class QuotientRing(namedtuple("QuotientRing", "p n")):
     __slots__ = ()
 
     def __new__(cls, p: int, n: int) -> "QuotientRing":
-        p, n = Prime(p), index(n)  # 3.5 raises TypeError
-        if n < 1:
-            raise ValueError("truncation order must be >= 1")
+        p, n = Prime(p), at_least(n, 1, "truncation order")
         return super().__new__(cls, p, n)
 
     def element(self, coeffs) -> "QElem":
@@ -62,6 +60,7 @@ class QElem(namedtuple("QElem", "ring coeffs")):
     __slots__ = ()
 
     def __new__(cls, ring: QuotientRing, coeffs: tuple[int, ...]) -> "QElem":
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != ring.n:
             raise ValueError("coefficient vector must have length n")
         if min(coeffs) < 0 or max(coeffs) >= ring.p:
@@ -88,9 +87,7 @@ class QElem(namedtuple("QElem", "ring coeffs")):
 
     def frobenius(self, e: int) -> "QElem":
         """The p^e-th power: coefficient i moves to position i * p^e."""
-        if e < 0:
-            raise ValueError("twist degree must be >= 0")
-        if e == 0:
+        if at_least(e, 0, "twist degree") == 0:
             return self
         return _product((self.ring.one(),), (self,), _twist(self.ring, e))
 
@@ -156,9 +153,7 @@ class TwistedOperator(namedtuple("TwistedOperator", "rows degree")):
     __slots__ = ()
 
     def __new__(cls, rows: QMatrix, degree: int) -> "TwistedOperator":
-        rows, degree = _as_matrix(rows), index(degree)  # 1.5 raises TypeError
-        if degree < 0:
-            raise ValueError("twist degree must be >= 0")
+        rows, degree = _as_matrix(rows), at_least(degree, 0, "twist degree")
         return super().__new__(cls, rows, degree)
 
     @property
@@ -182,8 +177,7 @@ def compose(f: TwistedOperator, g: TwistedOperator) -> TwistedOperator:
 
 
 def identity_operator(ring: QuotientRing, size: int, degree: int = 0) -> TwistedOperator:
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    size = at_least(size, 1, "size")
     one, zero = ring.one(), ring.zero()
     rows = tuple(
         tuple(one if i == j else zero for j in range(size)) for i in range(size)

@@ -101,6 +101,9 @@ def test_enumeration_validates_domain():
     for p, d, e in ((2, 1, 2.5), (2, 1, 1.0)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             count_basis_enumeration(p, d, e)
+    # each argument is checked whole before the next: d's floor before e's type
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        count_basis_enumeration(2, 0, 2.5)
 
 
 def test_one_variable_forms_no_power_of_p():

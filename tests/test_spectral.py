@@ -610,6 +610,11 @@ def test_log_interval_validates():
         log_of_interval(Fraction(3), Fraction(3), 1, "1e-6")
     with pytest.raises(ValueError):
         log_of_interval(Fraction(3), Fraction(3), 2, "-1e-6")
+    # no truncation: a fractional m or base is refused, not rounded
+    with pytest.raises(TypeError):
+        log2_interval(1, 2.5)
+    with pytest.raises(TypeError):
+        log_of_interval(2, 3, 2.5, "1e-6")
 
 
 def test_log_of_interval_outward():

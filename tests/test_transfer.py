@@ -416,7 +416,8 @@ def test_count_generator_checks_its_arguments_when_called():
     for args in [(4, 4, 3), (2, 0, 3), (2, 4, -1), (2, 5, 4, system), (3, 4, 4, system)]:
         with pytest.raises(ValueError):
             iter_counts(*args)  # before any count is taken
-    for args in [(2, 4, 3.0), (2, 4.0, 3)]:
+    floats = TransferSystem(2, 4, ((1.5, 0), (0, 1)), (1, 1), (1, 1))
+    for args in [(2, 4, 3.0), (2, 4.0, 3), (2, 4, 4, floats)]:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             iter_counts(*args)  # not after yielding 0, 4 and 4
 

@@ -78,6 +78,11 @@ def test_element_construction_validates():
         QElem(r, (1, 0, 2, 0))  # 2 is not reduced mod 2
     with pytest.raises(ValueError):
         QElem(r, (0, -1, 0, 0))
+    # coefficients are integers: 1.5 is neither reduced nor printed
+    with pytest.raises(TypeError):
+        QElem(r, (1.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        r.element([1.5])
 
 
 def test_operator_rejects_entries_from_different_rings():
