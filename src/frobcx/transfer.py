@@ -97,7 +97,7 @@ class TransferSystem(namedtuple("TransferSystem", "p d matrix x0 weights")):
 
 def build_system(p: int, d: int) -> TransferSystem:
     """Assemble the transfer system for (p, d), d >= 3."""
-    p = Prime(p)
+    p, d = Prime(p), index(d)
     if d < 3:
         raise ValueError(
             "no transfer system for d <= 2; counts there are comb(d+p-2, p-1) "

@@ -13,7 +13,6 @@ from frobcx.closedform import (
 )
 from frobcx.basep import Prime, digits
 from frobcx.enumeration import count_basis_enumeration
-from frobcx.errors import GuardExceeded
 from frobcx.spectral import frobenius_complexity
 from frobcx.transfer import build_system, complexity_term, state
 
@@ -23,7 +22,7 @@ mpmath.mp.dps = 50
 def xi_weight(p: int, e: int, i: int) -> int:
     """The first-exponent weight xi_e(i), from the base-p digits of i.
 
-    The reference for ``lower_bound``, which forms each weight inline.
+    The reference for ``lower_bound``, which sums the weights digit by digit.
     """
     p = Prime(p)
     if e < 2:
@@ -109,32 +108,31 @@ def test_xi_weights_sum_to_d3_count():
 
 
 def test_lower_bound_equals_count_at_d3():
-    for p in (2, 3, 5):
-        for e in (2, 3, 4):
-            assert lower_bound(p, 3, e) == closed_form_d3(p, e)
+    # far past the p^e summands a term-by-term sum could visit
+    for p in (2, 3, 5, 7):
+        for e in (*range(2, 12), 60, 150, 300):
+            assert lower_bound(p, 3, e) == closed_form_d3(p, e), (p, e)
 
 
 def test_lower_bound_is_the_xi_weight_sum():
-    # the odometer against the sum it evaluates, one weight at a time
-    cells = [(p, d, e) for p in (2, 3, 5) for d in range(3, 8) for e in range(2, 5)
-             if p**e <= 200]
-    assert len(cells) == 40
+    # the digit recursion against the sum it evaluates, one weight at a time
+    cells = [(p, d, e) for p in (2, 3, 5, 7) for d in range(3, 12) for e in range(2, 12)
+             if p**e <= 2500]
+    assert len(cells) == 198
     for p, d, e in cells:
         expected = sum(xi_weight(p, e, i) * comb(d - 3 + i, i) for i in range(p**e))
         assert lower_bound(p, d, e) == expected, (p, d, e)
 
 
 def test_lower_bound_below_counts():
-    for p, d, e in [(2, 4, 3), (2, 5, 4), (3, 4, 2), (3, 4, 3), (5, 4, 2)]:
+    for p, d, e in [(2, 4, 3), (2, 5, 4), (3, 4, 2), (3, 4, 3), (5, 4, 2),
+                    (2, 4, 24), (2, 6, 200), (3, 5, 100), (5, 8, 40)]:
         assert lower_bound(p, d, e) <= complexity_term(p, d, e)
 
 
 def test_lower_bound_guard_and_validation():
-    # 2^24 summands trip the fixed 10^7 guard before any work
-    with pytest.raises(GuardExceeded) as info:
-        lower_bound(2, 4, 24)
-    assert info.value.needed == 2**24
-    assert info.value.limit == 10**7
+    # 2^24 summands, read in 24 digit steps
+    assert 0 < lower_bound(2, 4, 24) <= complexity_term(2, 4, 24)
     with pytest.raises(ValueError):
         lower_bound(2, 2, 3)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from frobcx import cli
 from frobcx.closedform import closed_form_d3
 from frobcx.enumeration import count_basis_carryvectors, count_basis_enumeration
 from frobcx.poincare import build_table
+from frobcx.spectral import frobenius_complexity
 from frobcx.transfer import (
     TransferSystem,
     _apply,
@@ -69,10 +70,14 @@ def test_transfer_system_validates_shapes():
 
 def test_transfer_system_refuses_a_non_integral_d():
     # d = 4.0 is not taken as 4, which left dim = 2.0 for the count recursion
-    # to trip over, and d = 3.5 is refused for its type, not its matrix's shape
-    for d, n in ((4.0, 2), (3.5, 1)):
+    # to trip over, and d = 3.5 is refused for its type, not its matrix's shape;
+    # build_system and frobenius_complexity refuse it before any table or list
+    for refusal in (lambda: TransferSystem(2, 4.0, ((1, 1),) * 2, (1, 1), (1, 1)),
+                    lambda: TransferSystem(2, 3.5, ((1,),), (1,), (1,)),
+                    lambda: build_system(2, 4.0), lambda: build_system(2, 3.5),
+                    lambda: frobenius_complexity(2, 4.0, "1e-3")):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            TransferSystem(2, d, ((1,) * n,) * n, (1,) * n, (1,) * n)
+            refusal()
 
 
 def test_build_system_entries_by_inclusion_exclusion():
