@@ -5,21 +5,23 @@ the transfer matrix.  Nothing here is floating point: every bound is a
 Fraction that provably brackets the target.
 
 * ``perron_interval`` encloses the spectral radius rho of a nonnegative
-  integer n x n matrix U first by the Collatz-Wielandt bounds of the left
-  power steps y_k = y_(k-1)^T U, y_0 = 1: while y_(k-1) > 0, min_j and
-  max_j of y_(k,j) / y_(k-1,j) bracket rho (Wielandt 1950; Horn and
-  Johnson, Matrix Analysis, Thm 8.1.26), the min never falls and the max
-  never rises, and the max is at most the largest column sum.  On a
-  transfer matrix 1^T is almost a left Perron vector, as every column but
-  one sums to p^(d-1), so a few steps often meet tol.  The loop gives up
-  at a zero entry of y_k, or when its last contraction, repeated up to
-  step n, the loop's horizon, would not reach tol.  Then it runs Newton's
-  method from the right on the exact characteristic polynomial chi, of
-  degree n.  rho is an eigenvalue and every eigenvalue has Re lambda <= rho
-  (Perron-Frobenius), so at real t > rho each term of
-  chi'(t) / chi(t) = sum_i 1 / (t - lambda_i) has real part in (0, 1 / (t
-  - rho)], the term of rho equal to it, and delta = chi(t) / chi'(t) has
-  (t - rho) / n <= delta <= t - rho: rho lies in [t - n delta, t - delta].
+  integer n x n matrix U first by Collatz-Wielandt bounds: for every y > 0,
+  min_j and max_j of (y^T U)_j / y_j bracket rho (Wielandt 1950; Horn and
+  Johnson, Matrix Analysis, Thm 8.1.26), so each step's interval holds rho
+  by itself.  y starts at 1 and steps to z = y^T U, cut once it passes W =
+  bits(top) + bits(ceil(1/tol)) + 2 bits(n) + 16 bits, top the largest
+  column sum: y = (z >> s) + 1 has W bits, each entry moved by under one
+  unit, relatively far below tol / top.  So operands stay small, the
+  intervals need not narrow monotonically, and hi, which may pass top >=
+  rho, is capped there.  On a transfer matrix 1^T is almost a left Perron
+  vector, as every column but one sums to p^(d-1), so a few steps often
+  meet tol.  The one stop rule, a zero entry of z or step n, hands over
+  to Newton's method from the right on the exact characteristic polynomial
+  chi, of degree n.  rho is an eigenvalue and every eigenvalue has Re lambda
+  <= rho (Perron-Frobenius), so at real t > rho each term of chi'(t) /
+  chi(t) = sum_i 1 / (t - lambda_i) has real part in (0, 1 / (t - rho)],
+  the term of rho equal to it, and delta = chi(t) / chi'(t) has (t - rho)
+  / n <= delta <= t - rho: rho lies in [t - n delta, t - delta].
   Each step is certified by itself, so the interval holds rho however the
   loop stops.  The first t is the smaller of the largest row sum and the
   largest column sum, each >= rho as rho(U) = rho(U^T); on a transfer
@@ -67,11 +69,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 
 from .basep import at_least
 from .errors import NotCertified, NotConverged
-from .transfer import Matrix, _validate_matrix, build_system, char_poly
+from .transfer import Matrix, _apply, _validate_matrix, build_system, char_poly
 
 
 def _as_fraction(value) -> Fraction:  # the one parser of tol, the CLI's too
@@ -125,11 +126,11 @@ class SpectralEstimate(_Interval, namedtuple("SpectralEstimate", "lo hi iteratio
 def perron_interval(matrix, tol) -> SpectralEstimate:
     """Certified enclosure of the spectral radius of a nonnegative matrix.
 
-    First by the Collatz-Wielandt bounds: the ratios of y_k = y_(k-1)^T U to
-    y_(k-1) > 0, y_0 = 1, bracket rho, as for every nonnegative matrix and
-    rho(U^T) = rho(U), and their [min, max], with general rational ends, is
-    the result once it is no wider than tol; ``iterations`` is then k.
-    Where that loop gives up (module docstring), by Newton's method on chi,
+    First by the Collatz-Wielandt bounds: the ratios of y^T U to any y > 0
+    bracket rho, as rho(U^T) = rho(U), and their [min, max], hi capped at
+    the largest column sum, is the result once no wider than tol; y steps
+    from 1 to y^T U, cut to W bits (module docstring), and ``iterations``
+    is the step.  At a zero entry or after step n, by Newton's method on chi,
     the exact characteristic polynomial of degree n, from the right.  By
     Perron-Frobenius rho is an eigenvalue and every eigenvalue has Re
     lambda <= rho, so at real t > rho, chi(t) > 0 and chi'(t) / chi(t) =
@@ -160,14 +161,17 @@ def perron_interval(matrix, tol) -> SpectralEstimate:
 
 
 def _collatz_wielandt(rows: Matrix, tn: int, td: int) -> SpectralEstimate | None:
-    # [lo, hi] from the ratios of y_k = y_(k-1)^T U to y_(k-1) > 0, y_0 = 1,
-    # or None when some y_k has a zero entry or the gap's log2, L_k, would
-    # not reach tol's by step n, the loop's horizon: from k = 2 on, if
-    # L_k + (n - k)(L_k - L_(k-1)) > log2 tol, in bit lengths.  Each pair
-    # is found by cross-multiplying, and the Fractions are built on return
+    # [lo, hi] from the ratios of z = y^T U to y > 0, y = 1 at first, or None
+    # at a zero entry of z or after step n; pairs by cross-multiplying, hi
+    # capped at top.  A z past W bits is cut to y = (z >> s) + 1 of W bits:
+    # an entry of bits(top) + bits(ceil(1/tol)) bits then moves relatively
+    # by under tol / top, the width tol asks of a ratio near rho <= top, and
+    # 2 bits(n) + 16 bits are spare for entries below y's largest
     n, cols, y = len(rows), list(zip(*rows)), [1] * len(rows)
+    top = max(map(sum, cols), default=0)
+    width = top.bit_length() + (-(-td // tn)).bit_length() + 2 * n.bit_length() + 16
     for k in range(1, n + 1):
-        z = [sum(map(mul, y, col)) for col in cols]
+        z = _apply(cols, y)
         if not all(z):
             return None
         ln, ld = hn, hd = z[0], y[0]
@@ -176,14 +180,10 @@ def _collatz_wielandt(rows: Matrix, tn: int, td: int) -> SpectralEstimate | None
                 ln, ld = u, v
             elif u * hd > hn * v:
                 hn, hd = u, v
-        y = z
-        gap, den = hn * ld - ln * hd, hd * ld
-        if gap * td <= tn * den:
-            return SpectralEstimate(Fraction(ln, ld), Fraction(hn, hd), iterations=k)
-        bits = gap.bit_length() - den.bit_length()
-        if k > 1 and bits + (n - k) * (bits - last) > tn.bit_length() - td.bit_length():
-            return None
-        last = bits
+        if (hn * ld - ln * hd) * td <= tn * hd * ld:
+            return SpectralEstimate(Fraction(ln, ld), min(Fraction(hn, hd), top), iterations=k)
+        s = max(z).bit_length() - width
+        y = [(v >> s) + 1 for v in z] if s > 0 else z
     return None
 
 
@@ -321,7 +321,7 @@ def frobenius_complexity(p: int, d: int, tol) -> ComplexityInterval:
     log_p(hi / lo) <= min(tol, 1) / 2, and each logarithm adds <= tol / 4.
     An enclosure that stops short of delta raises ``NotConverged``.  The
     upper end is at most d - 1: the enclosure's is at most U's largest
-    column sum, which bounds both the largest Collatz-Wielandt ratio and
+    column sum, the cap of the Collatz-Wielandt upper end and a bound of
     Newton's first t, and column j sums to p^(d-1) - M_d(p - 1 - j) <=
     p^(d-1).
 

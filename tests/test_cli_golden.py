@@ -6,10 +6,12 @@ sequence, complexity and engine code.  The changed ``complexity`` and
 ``segre`` records were captured again when the radius enclosure moved to
 shifted inverse iteration, again when it moved to Newton's method on
 the characteristic polynomial, again when Newton's method began at the
-smaller of the largest row and column sums, and again when Collatz-Wielandt
-ratio bounds began to decide the enclosure before Newton's method, each of
-which prints other endpoints and iteration counts; a second test checks
-every printed interval against mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
+smaller of the largest row and column sums, again when Collatz-Wielandt
+ratio bounds began to decide the enclosure before Newton's method, and
+again when those bounds lost their extrapolated give-up and began to decide
+(5, 5) at tol 10 (three records), each of which prints other endpoints and
+iteration counts; a second test checks every printed interval against
+mpmath.  The ``carry`` records at d <= 2 and the listings of ``verify`` were captured
 again when the carry and closed engines began to count the first level
 themselves; a third test checks those carry records against ``enumerate``.
 Every record must still match byte for byte.  Run ``python

@@ -72,8 +72,9 @@ def test_perron_exact_on_dimension_one(monkeypatch):
 
 def test_perron_zero_and_trimmed_matrices():
     tol = Fraction("1e-6")
-    est = perron_interval([[0, 0], [0, 0]], tol)
-    assert (est.lo, est.hi, sign_change([[0, 0], [0, 0]], est, tol)) == (0, 0, None)
+    for matrix in ([], [[0, 0], [0, 0]]):
+        est = perron_interval(matrix, tol)
+        assert (est.lo, est.hi, sign_change(matrix, est, tol)) == (0, 0, None)
     # nilpotent: strictly upper triangular, no cycle, chi = x^2 and radius 0
     est = perron_interval([[0, 5], [0, 0]], tol)
     assert (est.lo, est.hi, sign_change([[0, 5], [0, 0]], est, tol)) == (0, 0, None)
@@ -245,6 +246,8 @@ def test_newton_step_brackets_the_radius(matrix, above):
           [1, 0, 0, 0, 0]], Fraction(1, 7))
 @example([[0, 3, 0, 2, 0, 0], [2, 4204, 3, 0, 0, 8689], [1, 0, 2, 1, 1, 1], [0, 2, 3, 7307, 2, 0],
           [0, 1, 0, 0, 1, 3], [0, 1, 0, 0, 8617, 6376]], Fraction(10))
+# 1^T U^3 passes the ratio loop's 38 bits and is cut; the cut y decides at step 4
+@example([[7722, 3, 2, 3], [3, 3, 0, 3], [8084, 1, 2, 2], [8308, 1, 676, 0]], Fraction(10))
 def test_perron_converges_on_every_nonnegative_matrix(matrix, tol):
     # reducible, periodic and nearly periodic matrices, and coarse tols;
     # the examples stopped short of tol in earlier enclosure loops
@@ -296,6 +299,13 @@ def test_transfer_enclosure_needs_no_chi_at_wide_points(monkeypatch):
         est = perron_interval(build_system(2, d).matrix, "1e-9")
         assert est.converged and est.width <= Fraction(1, 10**9), d
         assert est.iterations <= 5 and est.hi <= 2 ** (d - 1), d
+    # the ratio bounds decide these at steps 8 and 14, well past the first
+    # steps, on operands cut to a fixed width
+    for p, d, tol, steps in ((5, 10, Fraction("1e-3"), 8), (3, 16, Fraction("1e-9"), 14)):
+        matrix = build_system(p, d).matrix
+        est = perron_interval(matrix, tol)
+        assert est.converged and est.width <= tol and est.iterations == steps, (p, d)
+        assert est.hi <= p ** (d - 1) and sign_change(matrix, est, tol), (p, d)
     out = frobenius_complexity(2, 200, Fraction(1, 10**300))
     assert 0 < out.lo < out.hi <= 199 and out.hi - out.lo <= Fraction(1, 10**300)
     assert out.radius.hi <= 2**199 and out.radius.converged
@@ -307,6 +317,7 @@ def test_transfer_enclosure_needs_no_chi_at_wide_points(monkeypatch):
 @example([[7]], 1)
 @example([[1, 2], [3, 2]], 400)  # equal column sums: a point in one step
 @example([[0, 2], [1, 0]], 1)  # periodic: the ratios never narrow
+@example([[2, 2, 1, 1], [6242, 9520, 3, 0], [0, 2, 3, 0], [2, 1, 0, 2]], 1)  # decided after a cut
 def test_collatz_wielandt_bounds_meet_the_newton_enclosure(matrix, k):
     # whenever the ratio bounds decide, at tol 2^-k, they are no wider than
     # tol, below the largest column sum, and meet Newton's enclosure of the
@@ -349,7 +360,7 @@ def test_matrices_the_ratios_cannot_decide_keep_their_newton_results():
 
 
 def test_certify_pin_computes_chi_once_inside_perron_interval(monkeypatch, capsys):
-    # complexity --p 2 --d 6 --tol 1e-20: the ratio bounds give up at step 2,
+    # complexity --p 2 --d 6 --tol 1e-20: the ratio bounds give up after step 4,
     # and Newton's method certifies the radius on the 4 x 4 matrix's chi
     calls, inside = [], []
     enclose = spectral.perron_interval
@@ -373,8 +384,8 @@ def test_certify_pin_computes_chi_once_inside_perron_interval(monkeypatch, capsy
 
 
 def test_upper_ends_are_at_most_p_to_the_d_minus_1_and_d_minus_1():
-    # every column sum of U is at most p^(d-1), the enclosure starts at most
-    # there and never rises, and the complexity is capped at d - 1, as a
+    # every column sum of U is at most p^(d-1), the enclosure's upper end is
+    # at most the largest, and the complexity is capped at d - 1, as a
     # logarithm of 2^(d-1) itself has an upper end above d - 1
     points = [(p, d) for p, d_range, _ in _VERIFY_GRID for d in d_range if d >= 3]
     for p, d in points + [(2, d) for d in range(24, 41)]:
